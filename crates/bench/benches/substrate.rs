@@ -4,10 +4,10 @@
 
 use counterpoint::models::family::{build_feature_model, feature_sets_table3};
 use counterpoint::workloads::{LinearAccess, RandomAccess, Workload};
-use counterpoint_haswell::full_counter_space;
 use counterpoint_haswell::mem::PageSize;
 use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
 use counterpoint_haswell::pmu::{MultiplexingPmu, PmuConfig};
+use counterpoint_haswell::{full_counter_space, AccessType, EventId};
 use counterpoint_lp::{LinearProgram, Relation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -44,14 +44,14 @@ fn bench_mmu_simulation(c: &mut Criterion) {
         b.iter(|| {
             let mut mmu = HaswellMmu::new(MmuConfig::haswell());
             mmu.run(linear.iter().copied(), PageSize::Size4K);
-            mmu.counts().get("load.ret")
+            mmu.counts().get(EventId::ret(AccessType::Load))
         });
     });
     group.bench_function("random_1GiB_footprint", |b| {
         b.iter(|| {
             let mut mmu = HaswellMmu::new(MmuConfig::haswell());
             mmu.run(random.iter().copied(), PageSize::Size4K);
-            mmu.counts().get("load.ret")
+            mmu.counts().get(EventId::ret(AccessType::Load))
         });
     });
     group.finish();

@@ -45,6 +45,15 @@ pub enum CollectError {
     },
     /// A trace file could not be parsed, or its format version is unknown.
     Format(String),
+    /// The counter space names a counter the backend cannot measure.  (A
+    /// silently zero column would refute every model that predicts counts for
+    /// it.)
+    UnknownCounter {
+        /// Name of the backend.
+        backend: String,
+        /// The counter name it does not have.
+        counter: String,
+    },
 }
 
 impl fmt::Display for CollectError {
@@ -73,6 +82,9 @@ impl fmt::Display for CollectError {
                 write!(f, "trace I/O on `{path}` failed: {reason}")
             }
             CollectError::Format(msg) => write!(f, "trace format error: {msg}"),
+            CollectError::UnknownCounter { backend, counter } => {
+                write!(f, "backend `{backend}` has no counter named `{counter}`")
+            }
         }
     }
 }
@@ -112,5 +124,11 @@ mod tests {
         assert!(CollectError::Format("bad version".to_string())
             .to_string()
             .contains("bad version"));
+        assert!(CollectError::UnknownCounter {
+            backend: "sim".to_string(),
+            counter: "load.rett".to_string()
+        }
+        .to_string()
+        .contains("`load.rett`"));
     }
 }

@@ -4,9 +4,9 @@
 use crate::backend::{CounterBackend, IntervalSamples, WorkloadRun};
 use crate::error::CollectError;
 use crate::schedule::EventSchedule;
-use counterpoint_haswell::full_counter_space;
 use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
-use counterpoint_haswell::pmu::{ground_truth_intervals, MultiplexingPmu, PmuConfig};
+use counterpoint_haswell::pmu::{ground_truth_events, MultiplexingPmu, PmuConfig};
+use counterpoint_haswell::{full_counter_space, EventId};
 use counterpoint_mudd::CounterSpace;
 
 /// A backend that "measures" the functional Haswell simulator.
@@ -33,7 +33,9 @@ impl SimBackend {
     }
 
     /// Restricts the backend to a custom counter space (projections, ablation
-    /// studies).
+    /// studies).  Every counter must be a Table 2 event;
+    /// [`run`](CounterBackend::run) fails with
+    /// [`CollectError::UnknownCounter`] otherwise.
     pub fn with_space(mut self, space: CounterSpace) -> SimBackend {
         self.space = space;
         self
@@ -74,12 +76,16 @@ impl CounterBackend for SimBackend {
         workload: &WorkloadRun<'_>,
         schedule: &EventSchedule,
     ) -> Result<IntervalSamples, CollectError> {
+        let events = EventId::resolve(&self.space).map_err(|e| CollectError::UnknownCounter {
+            backend: self.name().to_string(),
+            counter: e.name,
+        })?;
         let mut mmu = HaswellMmu::new(self.mmu.clone());
-        let truth = ground_truth_intervals(
+        let truth = ground_truth_events(
             &mut mmu,
             workload.accesses,
             workload.page_size,
-            &self.space,
+            &events,
             workload.intervals,
         );
         let pmu = MultiplexingPmu::new(self.pmu.clone());
@@ -178,5 +184,27 @@ mod tests {
         let total_ret: f64 = samples.rows().iter().map(|r| r[0]).sum();
         assert_eq!(total_ret, 5_000.0);
         assert_eq!(backend.space().len(), 2);
+    }
+
+    #[test]
+    fn misspelt_counter_is_a_typed_error_not_a_zero_column() {
+        let accesses = linear_accesses(1_000);
+        let space = CounterSpace::new(&["load.ret", "load.rett"]);
+        let mut backend =
+            SimBackend::new(MmuConfig::haswell(), PmuConfig::noiseless()).with_space(space);
+        let schedule = backend.schedule().unwrap();
+        let run = WorkloadRun {
+            label: "linear",
+            accesses: &accesses,
+            page_size: PageSize::Size4K,
+            intervals: 2,
+        };
+        assert_eq!(
+            backend.run(&run, &schedule),
+            Err(CollectError::UnknownCounter {
+                backend: "sim".to_string(),
+                counter: "load.rett".to_string(),
+            })
+        );
     }
 }

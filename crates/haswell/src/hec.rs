@@ -1,8 +1,7 @@
 //! The Haswell address-translation hardware event counters (paper, Table 2).
 
 use counterpoint_mudd::CounterSpace;
-use serde::Serialize;
-use std::collections::BTreeMap;
+use serde::{Serialize, Value};
 use std::fmt;
 
 /// Whether a μop (and therefore its HECs) is a load or a store.
@@ -66,43 +65,13 @@ impl HecGroup {
         }
     }
 
-    /// The counter names belonging to this group.
-    pub fn counters(&self) -> Vec<String> {
-        match self {
-            HecGroup::Ret => AccessType::ALL
-                .iter()
-                .flat_map(|t| vec![format!("{t}.ret"), format!("{t}.ret_stlb_miss")])
-                .collect(),
-            HecGroup::Stlb => AccessType::ALL
-                .iter()
-                .flat_map(|t| {
-                    vec![
-                        format!("{t}.stlb_hit"),
-                        format!("{t}.stlb_hit_4k"),
-                        format!("{t}.stlb_hit_2m"),
-                    ]
-                })
-                .collect(),
-            HecGroup::Walk => AccessType::ALL
-                .iter()
-                .flat_map(|t| {
-                    vec![
-                        format!("{t}.causes_walk"),
-                        format!("{t}.walk_done"),
-                        format!("{t}.walk_done_4k"),
-                        format!("{t}.walk_done_2m"),
-                        format!("{t}.walk_done_1g"),
-                        format!("{t}.pde$_miss"),
-                    ]
-                })
-                .collect(),
-            HecGroup::Refs => vec![
-                "walk_ref.l1".to_string(),
-                "walk_ref.l2".to_string(),
-                "walk_ref.l3".to_string(),
-                "walk_ref.mem".to_string(),
-            ],
-        }
+    /// The counter names belonging to this group, in [`EVENTS`] order.
+    pub fn counters(&self) -> Vec<&'static str> {
+        EVENTS
+            .iter()
+            .filter(|e| e.group == *self)
+            .map(|e| e.name)
+            .collect()
     }
 
     /// The full Linux-perf event name each of this paper's short names maps to
@@ -116,11 +85,178 @@ impl HecGroup {
     }
 }
 
-/// The full 26-counter space of the paper's Table 2, in canonical order
-/// (groups in `Ret`, `STLB`, `Walk`, `Refs` order).
+/// Number of hardware events the simulator counts (the rows of Table 2).
+pub const NUM_EVENTS: usize = 26;
+
+/// One row of the event table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventSpec {
+    /// The counter name used by counter spaces, μDDs and reports.
+    pub name: &'static str,
+    /// The Table 2 group the event belongs to.
+    pub group: HecGroup,
+}
+
+const fn event(name: &'static str, group: HecGroup) -> EventSpec {
+    EventSpec { name, group }
+}
+
+/// The event table: the paper's Table 2 in canonical order (groups in
+/// [`HecGroup::ALL`] order, load events before store events within a group).
+///
+/// This is the single source of counter names and ids: an event's position in
+/// the table is its [`EventId`], the simulator bumps counters by id, and every
+/// name-based view ([`HecGroup::counters`], [`full_counter_space`],
+/// [`cumulative_group_space`], [`names`]) is read from here.
+pub static EVENTS: [EventSpec; NUM_EVENTS] = [
+    event("load.ret", HecGroup::Ret),
+    event("load.ret_stlb_miss", HecGroup::Ret),
+    event("store.ret", HecGroup::Ret),
+    event("store.ret_stlb_miss", HecGroup::Ret),
+    event("load.stlb_hit", HecGroup::Stlb),
+    event("load.stlb_hit_4k", HecGroup::Stlb),
+    event("load.stlb_hit_2m", HecGroup::Stlb),
+    event("store.stlb_hit", HecGroup::Stlb),
+    event("store.stlb_hit_4k", HecGroup::Stlb),
+    event("store.stlb_hit_2m", HecGroup::Stlb),
+    event("load.causes_walk", HecGroup::Walk),
+    event("load.walk_done", HecGroup::Walk),
+    event("load.walk_done_4k", HecGroup::Walk),
+    event("load.walk_done_2m", HecGroup::Walk),
+    event("load.walk_done_1g", HecGroup::Walk),
+    event("load.pde$_miss", HecGroup::Walk),
+    event("store.causes_walk", HecGroup::Walk),
+    event("store.walk_done", HecGroup::Walk),
+    event("store.walk_done_4k", HecGroup::Walk),
+    event("store.walk_done_2m", HecGroup::Walk),
+    event("store.walk_done_1g", HecGroup::Walk),
+    event("store.pde$_miss", HecGroup::Walk),
+    event("walk_ref.l1", HecGroup::Refs),
+    event("walk_ref.l2", HecGroup::Refs),
+    event("walk_ref.l3", HecGroup::Refs),
+    event("walk_ref.mem", HecGroup::Refs),
+];
+
+/// A typed event id: the position of an event in [`EVENTS`], and the index of
+/// its value in [`CounterValues`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct EventId(u8);
+
+impl EventId {
+    /// `first` is the table position of the group's first load event and
+    /// `per_type` the number of events each access type has in the group.
+    const fn per_access(first: u8, per_type: u8, offset: u8, t: AccessType) -> EventId {
+        let type_index = match t {
+            AccessType::Load => 0,
+            AccessType::Store => 1,
+        };
+        EventId(first + type_index * per_type + offset)
+    }
+
+    /// `T.ret`
+    pub const fn ret(t: AccessType) -> EventId {
+        EventId::per_access(0, 2, 0, t)
+    }
+    /// `T.ret_stlb_miss`
+    pub const fn ret_stlb_miss(t: AccessType) -> EventId {
+        EventId::per_access(0, 2, 1, t)
+    }
+    /// `T.stlb_hit`
+    pub const fn stlb_hit(t: AccessType) -> EventId {
+        EventId::per_access(4, 3, 0, t)
+    }
+    /// `T.stlb_hit_4k`
+    pub const fn stlb_hit_4k(t: AccessType) -> EventId {
+        EventId::per_access(4, 3, 1, t)
+    }
+    /// `T.stlb_hit_2m`
+    pub const fn stlb_hit_2m(t: AccessType) -> EventId {
+        EventId::per_access(4, 3, 2, t)
+    }
+    /// `T.causes_walk`
+    pub const fn causes_walk(t: AccessType) -> EventId {
+        EventId::per_access(10, 6, 0, t)
+    }
+    /// `T.walk_done`
+    pub const fn walk_done(t: AccessType) -> EventId {
+        EventId::per_access(10, 6, 1, t)
+    }
+    /// `T.walk_done_4k`
+    pub const fn walk_done_4k(t: AccessType) -> EventId {
+        EventId::per_access(10, 6, 2, t)
+    }
+    /// `T.walk_done_2m`
+    pub const fn walk_done_2m(t: AccessType) -> EventId {
+        EventId::per_access(10, 6, 3, t)
+    }
+    /// `T.walk_done_1g`
+    pub const fn walk_done_1g(t: AccessType) -> EventId {
+        EventId::per_access(10, 6, 4, t)
+    }
+    /// `T.pde$_miss`
+    pub const fn pde_miss(t: AccessType) -> EventId {
+        EventId::per_access(10, 6, 5, t)
+    }
+    /// `walk_ref.l1` / `.l2` / `.l3` for levels 1-3, `walk_ref.mem` otherwise.
+    pub const fn walk_ref(level: usize) -> EventId {
+        match level {
+            1 => EventId(22),
+            2 => EventId(23),
+            3 => EventId(24),
+            _ => EventId(25),
+        }
+    }
+
+    /// The event's position in [`EVENTS`].
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The event's counter name.
+    pub fn name(self) -> &'static str {
+        EVENTS[self.index()].name
+    }
+
+    /// The event named `name`, if the table has one.
+    pub fn from_name(name: &str) -> Option<EventId> {
+        EVENTS
+            .iter()
+            .position(|e| e.name == name)
+            .map(|i| EventId(i as u8))
+    }
+
+    /// Resolves every counter of a space to its event id, in space order.
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownEvent`] naming the first counter the table does not have.
+    pub fn resolve(space: &CounterSpace) -> Result<Vec<EventId>, UnknownEvent> {
+        space
+            .names()
+            .iter()
+            .map(|n| EventId::from_name(n).ok_or_else(|| UnknownEvent { name: n.clone() }))
+            .collect()
+    }
+}
+
+/// A counter name that is not one of the [`EVENTS`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownEvent {
+    /// The name that was looked up.
+    pub name: String,
+}
+
+impl fmt::Display for UnknownEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "no hardware event named `{}`", self.name)
+    }
+}
+
+impl std::error::Error for UnknownEvent {}
+
+/// The full 26-counter space of the paper's Table 2, in [`EVENTS`] order.
 pub fn full_counter_space() -> CounterSpace {
-    let names: Vec<String> = HecGroup::ALL.iter().flat_map(|g| g.counters()).collect();
-    CounterSpace::new(&names)
+    cumulative_group_space(HecGroup::ALL.len())
 }
 
 /// The counter space obtained by taking the first `n` groups of
@@ -131,128 +267,145 @@ pub fn full_counter_space() -> CounterSpace {
 /// Panics if `n` is zero or greater than the number of groups.
 pub fn cumulative_group_space(n: usize) -> CounterSpace {
     assert!(n >= 1 && n <= HecGroup::ALL.len(), "need 1..=4 groups");
-    let names: Vec<String> = HecGroup::ALL[..n]
+    let groups = &HecGroup::ALL[..n];
+    let names: Vec<&str> = EVENTS
         .iter()
-        .flat_map(|g| g.counters())
+        .filter(|e| groups.contains(&e.group))
+        .map(|e| e.name)
         .collect();
     CounterSpace::new(&names)
 }
 
-/// Counter name helpers (avoid typo-prone string formatting at call sites).
+/// Counter name helpers for μDD construction: the names of the [`EventId`]
+/// constructors of the same name.
 pub mod names {
-    use super::AccessType;
+    use super::{AccessType, EventId};
 
     /// `T.ret`
-    pub fn ret(t: AccessType) -> String {
-        format!("{t}.ret")
+    pub fn ret(t: AccessType) -> &'static str {
+        EventId::ret(t).name()
     }
     /// `T.ret_stlb_miss`
-    pub fn ret_stlb_miss(t: AccessType) -> String {
-        format!("{t}.ret_stlb_miss")
+    pub fn ret_stlb_miss(t: AccessType) -> &'static str {
+        EventId::ret_stlb_miss(t).name()
     }
     /// `T.stlb_hit`
-    pub fn stlb_hit(t: AccessType) -> String {
-        format!("{t}.stlb_hit")
+    pub fn stlb_hit(t: AccessType) -> &'static str {
+        EventId::stlb_hit(t).name()
     }
     /// `T.stlb_hit_4k`
-    pub fn stlb_hit_4k(t: AccessType) -> String {
-        format!("{t}.stlb_hit_4k")
+    pub fn stlb_hit_4k(t: AccessType) -> &'static str {
+        EventId::stlb_hit_4k(t).name()
     }
     /// `T.stlb_hit_2m`
-    pub fn stlb_hit_2m(t: AccessType) -> String {
-        format!("{t}.stlb_hit_2m")
+    pub fn stlb_hit_2m(t: AccessType) -> &'static str {
+        EventId::stlb_hit_2m(t).name()
     }
     /// `T.causes_walk`
-    pub fn causes_walk(t: AccessType) -> String {
-        format!("{t}.causes_walk")
+    pub fn causes_walk(t: AccessType) -> &'static str {
+        EventId::causes_walk(t).name()
     }
     /// `T.walk_done`
-    pub fn walk_done(t: AccessType) -> String {
-        format!("{t}.walk_done")
+    pub fn walk_done(t: AccessType) -> &'static str {
+        EventId::walk_done(t).name()
     }
     /// `T.walk_done_4k`
-    pub fn walk_done_4k(t: AccessType) -> String {
-        format!("{t}.walk_done_4k")
+    pub fn walk_done_4k(t: AccessType) -> &'static str {
+        EventId::walk_done_4k(t).name()
     }
     /// `T.walk_done_2m`
-    pub fn walk_done_2m(t: AccessType) -> String {
-        format!("{t}.walk_done_2m")
+    pub fn walk_done_2m(t: AccessType) -> &'static str {
+        EventId::walk_done_2m(t).name()
     }
     /// `T.walk_done_1g`
-    pub fn walk_done_1g(t: AccessType) -> String {
-        format!("{t}.walk_done_1g")
+    pub fn walk_done_1g(t: AccessType) -> &'static str {
+        EventId::walk_done_1g(t).name()
     }
     /// `T.pde$_miss`
-    pub fn pde_miss(t: AccessType) -> String {
-        format!("{t}.pde$_miss")
+    pub fn pde_miss(t: AccessType) -> &'static str {
+        EventId::pde_miss(t).name()
     }
     /// `walk_ref.l1` / `.l2` / `.l3` / `.mem`
-    pub fn walk_ref(level: usize) -> String {
-        match level {
-            1 => "walk_ref.l1".to_string(),
-            2 => "walk_ref.l2".to_string(),
-            3 => "walk_ref.l3".to_string(),
-            _ => "walk_ref.mem".to_string(),
-        }
+    pub fn walk_ref(level: usize) -> &'static str {
+        EventId::walk_ref(level).name()
     }
 }
 
-/// A mutable bag of counter values keyed by counter name.
+/// The simulator's ground-truth accumulator: one count per event of
+/// [`EVENTS`], indexed by [`EventId`].
 ///
-/// This is the simulator's ground-truth accumulator; the PMU model samples it
-/// periodically, and [`CounterValues::to_vector`] projects it onto any
-/// [`CounterSpace`] for analysis.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+/// The PMU model snapshots it (a plain copy) once per measurement interval.
+/// Names appear only at the [`CounterSpace`] boundary: [`to_vector`] and
+/// [`value_of`] look names up, and serialization writes a name → count object
+/// in table order.
+///
+/// [`to_vector`]: CounterValues::to_vector
+/// [`value_of`]: CounterValues::value_of
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterValues {
-    values: BTreeMap<String, u64>,
+    values: [u64; NUM_EVENTS],
 }
 
 impl CounterValues {
-    /// Creates an empty set of counter values.
+    /// Creates a set of counter values, all zero.
     pub fn new() -> CounterValues {
         CounterValues::default()
     }
 
-    /// Adds one to the named counter.
-    pub fn increment(&mut self, name: &str) {
-        *self.values.entry(name.to_string()).or_insert(0) += 1;
+    /// Adds one to an event's counter.
+    pub fn increment(&mut self, event: EventId) {
+        self.values[event.index()] += 1;
     }
 
-    /// Adds `by` to the named counter.
-    pub fn add(&mut self, name: &str, by: u64) {
-        *self.values.entry(name.to_string()).or_insert(0) += by;
+    /// Adds `by` to an event's counter.
+    pub fn add(&mut self, event: EventId, by: u64) {
+        self.values[event.index()] += by;
     }
 
-    /// The current value of the named counter (zero if never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
+    /// The current value of an event's counter.
+    pub fn get(&self, event: EventId) -> u64 {
+        self.values[event.index()]
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
+    /// The current value of the named counter, or `None` if no event has that
+    /// name.
+    pub fn value_of(&self, name: &str) -> Option<u64> {
+        EventId::from_name(name).map(|e| self.get(e))
     }
 
-    /// Projects the values onto a counter space as an `f64` vector (counters not
-    /// present default to zero).
+    /// Iterates over `(name, value)` pairs of every event, in [`EVENTS`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        EVENTS.iter().zip(self.values).map(|(e, v)| (e.name, v))
+    }
+
+    /// The values of `events`, in that order, as an `f64` vector.
+    pub fn project(&self, events: &[EventId]) -> Vec<f64> {
+        events.iter().map(|&e| self.get(e) as f64).collect()
+    }
+
+    /// Projects the values onto a counter space as an `f64` vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space names a counter that is not one of the [`EVENTS`]
+    /// (resolve it with [`EventId::resolve`] to handle that case).
     pub fn to_vector(&self, space: &CounterSpace) -> Vec<f64> {
-        space.names().iter().map(|n| self.get(n) as f64).collect()
+        let events = EventId::resolve(space).expect("the space names only Table 2 events");
+        self.project(&events)
     }
 
-    /// Component-wise difference `self - earlier`, projected onto a counter space.
+    /// Component-wise difference `self - earlier` over `events`, in that order.
     /// Used by the PMU to turn cumulative counts into per-interval increments.
     ///
     /// # Panics
     ///
     /// Panics if any counter decreased (counters are monotone).
-    pub fn delta_vector(&self, earlier: &CounterValues, space: &CounterSpace) -> Vec<f64> {
-        space
-            .names()
+    pub fn delta_vector(&self, earlier: &CounterValues, events: &[EventId]) -> Vec<f64> {
+        events
             .iter()
-            .map(|n| {
-                let now = self.get(n);
-                let before = earlier.get(n);
-                assert!(now >= before, "counter {n} decreased");
+            .map(|&e| {
+                let (now, before) = (self.get(e), earlier.get(e));
+                assert!(now >= before, "counter {} decreased", e.name());
                 (now - before) as f64
             })
             .collect()
@@ -260,7 +413,17 @@ impl CounterValues {
 
     /// Total of all counters (mostly for sanity checks in tests).
     pub fn total(&self) -> u64 {
-        self.values.values().sum()
+        self.values.iter().sum()
+    }
+}
+
+impl Serialize for CounterValues {
+    fn to_value(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(name, v)| (name.to_string(), v.to_value()))
+                .collect(),
+        )
     }
 }
 
@@ -334,39 +497,106 @@ mod tests {
     }
 
     #[test]
+    fn event_constructors_name_their_table_rows() {
+        for t in AccessType::ALL {
+            let expected = [
+                (EventId::ret(t), "ret"),
+                (EventId::ret_stlb_miss(t), "ret_stlb_miss"),
+                (EventId::stlb_hit(t), "stlb_hit"),
+                (EventId::stlb_hit_4k(t), "stlb_hit_4k"),
+                (EventId::stlb_hit_2m(t), "stlb_hit_2m"),
+                (EventId::causes_walk(t), "causes_walk"),
+                (EventId::walk_done(t), "walk_done"),
+                (EventId::walk_done_4k(t), "walk_done_4k"),
+                (EventId::walk_done_2m(t), "walk_done_2m"),
+                (EventId::walk_done_1g(t), "walk_done_1g"),
+                (EventId::pde_miss(t), "pde$_miss"),
+            ];
+            for (id, suffix) in expected {
+                assert_eq!(id.name(), format!("{t}.{suffix}"));
+            }
+        }
+        for (level, suffix) in [(1, "l1"), (2, "l2"), (3, "l3"), (4, "mem")] {
+            assert_eq!(
+                EventId::walk_ref(level).name(),
+                format!("walk_ref.{suffix}")
+            );
+        }
+    }
+
+    #[test]
+    fn event_ids_round_trip_through_names() {
+        let space = full_counter_space();
+        let ids = EventId::resolve(&space).unwrap();
+        assert_eq!(ids, (0..NUM_EVENTS as u8).map(EventId).collect::<Vec<_>>());
+        for id in ids {
+            assert_eq!(EventId::from_name(id.name()), Some(id));
+            assert_eq!(space.name(id.index()), id.name());
+        }
+        assert_eq!(EventId::from_name("load.rett"), None);
+        let bad = CounterSpace::new(&["load.ret", "load.rett"]);
+        let err = EventId::resolve(&bad).unwrap_err();
+        assert_eq!(err.name, "load.rett");
+        assert!(err.to_string().contains("load.rett"));
+    }
+
+    #[test]
     fn counter_values_accumulate_and_project() {
+        let ret = EventId::ret(AccessType::Load);
+        let l1 = EventId::walk_ref(1);
         let mut values = CounterValues::new();
-        values.increment("load.ret");
-        values.increment("load.ret");
-        values.add("walk_ref.l1", 5);
-        assert_eq!(values.get("load.ret"), 2);
-        assert_eq!(values.get("walk_ref.l1"), 5);
-        assert_eq!(values.get("never.seen"), 0);
+        values.increment(ret);
+        values.increment(ret);
+        values.add(l1, 5);
+        assert_eq!(values.get(ret), 2);
+        assert_eq!(values.value_of("walk_ref.l1"), Some(5));
+        assert_eq!(values.value_of("never.seen"), None);
         assert_eq!(values.total(), 7);
 
         let space = CounterSpace::new(&["load.ret", "walk_ref.l1", "store.ret"]);
         assert_eq!(values.to_vector(&space), vec![2.0, 5.0, 0.0]);
-        assert_eq!(values.iter().count(), 2);
+        let order: Vec<&str> = values.iter().map(|(n, _)| n).collect();
+        assert_eq!(order, full_counter_space().name_refs());
+    }
+
+    #[test]
+    #[should_panic(expected = "Table 2 events")]
+    fn projecting_onto_an_unknown_counter_panics() {
+        let _ = CounterValues::new().to_vector(&CounterSpace::new(&["load.rett"]));
+    }
+
+    #[test]
+    fn counter_values_serialize_by_name_in_table_order() {
+        let mut values = CounterValues::new();
+        values.add(EventId::walk_ref(4), 3);
+        let Value::Object(entries) = values.to_value() else {
+            panic!("counter values serialize as an object");
+        };
+        assert_eq!(entries.len(), NUM_EVENTS);
+        assert_eq!(entries[0].0, "load.ret");
+        assert_eq!(entries[25], ("walk_ref.mem".to_string(), Value::Int(3)));
     }
 
     #[test]
     fn delta_vector_subtracts_snapshots() {
+        let (load, store) = (
+            EventId::ret(AccessType::Load),
+            EventId::ret(AccessType::Store),
+        );
         let mut earlier = CounterValues::new();
-        earlier.add("load.ret", 10);
-        let mut later = earlier.clone();
-        later.add("load.ret", 7);
-        later.add("store.ret", 3);
-        let space = CounterSpace::new(&["load.ret", "store.ret"]);
-        assert_eq!(later.delta_vector(&earlier, &space), vec![7.0, 3.0]);
+        earlier.add(load, 10);
+        let mut later = earlier;
+        later.add(load, 7);
+        later.add(store, 3);
+        assert_eq!(later.delta_vector(&earlier, &[load, store]), vec![7.0, 3.0]);
     }
 
     #[test]
     #[should_panic(expected = "decreased")]
     fn delta_vector_rejects_decreasing_counters() {
+        let load = EventId::ret(AccessType::Load);
         let mut earlier = CounterValues::new();
-        earlier.add("load.ret", 10);
-        let later = CounterValues::new();
-        let space = CounterSpace::new(&["load.ret"]);
-        let _ = later.delta_vector(&earlier, &space);
+        earlier.add(load, 10);
+        let _ = CounterValues::new().delta_vector(&earlier, &[load]);
     }
 }

@@ -6,7 +6,11 @@
 //! analysis code paths:
 //!
 //! * [`hec`] — the 26 address-translation HECs of the paper's Table 2, organised
-//!   into the same groups (`Ret`, `STLB`, `Walk`, `Refs`),
+//!   into the same groups (`Ret`, `STLB`, `Walk`, `Refs`).  Its static event
+//!   table [`hec::EVENTS`] is the one source of counter names and ids: the
+//!   simulator counts into a dense array indexed by [`EventId`], and names are
+//!   looked up only where a [`CounterSpace`](counterpoint_mudd::CounterSpace)
+//!   meets the simulator,
 //! * [`mem`] — virtual addresses, page sizes and memory accesses,
 //! * [`cache`] — a generic set-associative cache used for the data-cache hierarchy
 //!   that classifies page-walker loads (`walk_ref.l1/l2/l3/mem`) and for the MMU's
@@ -30,6 +34,7 @@
 //! ```
 //! use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
 //! use counterpoint_haswell::mem::{MemoryAccess, PageSize};
+//! use counterpoint_haswell::{AccessType, EventId};
 //!
 //! let mut mmu = HaswellMmu::new(MmuConfig::haswell());
 //! // Touch 1 MiB linearly with 64-byte strides.
@@ -37,8 +42,11 @@
 //!     mmu.access(&MemoryAccess::load(i * 64), PageSize::Size4K);
 //! }
 //! let counts = mmu.counts();
-//! assert!(counts.get("load.ret") >= 16_384);
-//! assert!(counts.get("load.causes_walk") > 0);
+//! assert!(counts.get(EventId::ret(AccessType::Load)) >= 16_384);
+//! let walks = counts.get(EventId::causes_walk(AccessType::Load));
+//! assert!(walks > 0);
+//! // Names are looked up only at the counter-space boundary.
+//! assert_eq!(counts.value_of("load.causes_walk"), Some(walks));
 //! ```
 
 pub mod cache;
@@ -49,7 +57,7 @@ pub mod mmu;
 pub mod pmu;
 pub mod tlb;
 
-pub use hec::{full_counter_space, AccessType, CounterValues, HecGroup};
+pub use hec::{full_counter_space, AccessType, CounterValues, EventId, HecGroup};
 pub use mem::{MemoryAccess, PageSize, VirtAddr};
 pub use mmu::{HaswellMmu, MmuConfig};
 pub use pmu::{MultiplexingPmu, PmuConfig};

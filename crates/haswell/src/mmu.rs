@@ -27,7 +27,7 @@
 //! feasible for the simulated observations while feature-poor μDDs are refuted.
 
 use crate::cache::SetAssocCache;
-use crate::hec::{names, AccessType, CounterValues};
+use crate::hec::{AccessType, CounterValues, EventId};
 use crate::mem::{MemoryAccess, PageSize, VirtAddr};
 use crate::tlb::{PagingStructureCaches, TlbHierarchy, TlbOutcome};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -241,7 +241,7 @@ impl HaswellMmu {
         } else {
             AccessType::Load
         };
-        self.counts.increment(&names::ret(t));
+        self.counts.increment(EventId::ret(t));
 
         // Prefetcher trigger scan happens in the load/store queue, i.e. before the
         // TLB is consulted, and only for loads to 4 KiB-mapped regions.
@@ -252,16 +252,16 @@ impl HaswellMmu {
         match self.tlb.lookup(access.addr, size) {
             TlbOutcome::L1Hit => AccessOutcome::L1TlbHit,
             TlbOutcome::StlbHit => {
-                self.counts.increment(&names::stlb_hit(t));
+                self.counts.increment(EventId::stlb_hit(t));
                 match size {
-                    PageSize::Size4K => self.counts.increment(&names::stlb_hit_4k(t)),
-                    PageSize::Size2M => self.counts.increment(&names::stlb_hit_2m(t)),
+                    PageSize::Size4K => self.counts.increment(EventId::stlb_hit_4k(t)),
+                    PageSize::Size2M => self.counts.increment(EventId::stlb_hit_2m(t)),
                     PageSize::Size1G => {}
                 }
                 AccessOutcome::StlbHit
             }
             TlbOutcome::Miss => {
-                self.counts.increment(&names::ret_stlb_miss(t));
+                self.counts.increment(EventId::ret_stlb_miss(t));
                 self.translation_request(t, access.addr, size, false)
             }
         }
@@ -327,7 +327,7 @@ impl HaswellMmu {
         if size == PageSize::Size4K {
             pde_hit = self.psc.pde_hit(addr);
             if !pde_hit {
-                self.counts.increment(&names::pde_miss(t));
+                self.counts.increment(EventId::pde_miss(t));
             }
         }
 
@@ -362,7 +362,7 @@ impl HaswellMmu {
             self.outstanding.pop_back();
         }
 
-        self.counts.increment(&names::causes_walk(t));
+        self.counts.increment(EventId::causes_walk(t));
 
         // Replay-on-first-touch: the speculative walk observes an unset accessed
         // bit and is replayed non-speculatively; the replay's references are not
@@ -375,11 +375,11 @@ impl HaswellMmu {
             AccessOutcome::MissWalked(refs)
         };
 
-        self.counts.increment(&names::walk_done(t));
+        self.counts.increment(EventId::walk_done(t));
         match size {
-            PageSize::Size4K => self.counts.increment(&names::walk_done_4k(t)),
-            PageSize::Size2M => self.counts.increment(&names::walk_done_2m(t)),
-            PageSize::Size1G => self.counts.increment(&names::walk_done_1g(t)),
+            PageSize::Size4K => self.counts.increment(EventId::walk_done_4k(t)),
+            PageSize::Size2M => self.counts.increment(EventId::walk_done_2m(t)),
+            PageSize::Size1G => self.counts.increment(EventId::walk_done_1g(t)),
         }
 
         self.accessed.insert(page_key);
@@ -389,51 +389,36 @@ impl HaswellMmu {
     /// Issues the walker's memory references for a (non-replayed) walk, classifying
     /// each against the data-cache hierarchy, and returns how many were made.
     fn perform_walk_references(&mut self, addr: VirtAddr, size: PageSize, pde_hit: bool) -> u32 {
-        let levels: Vec<u8> = match size {
-            PageSize::Size4K => {
-                if pde_hit {
-                    vec![1]
-                } else if self.psc.pdpte_hit(addr) {
-                    vec![2, 1]
-                } else if self.psc.pml4e_hit(addr) {
-                    vec![3, 2, 1]
-                } else {
-                    vec![4, 3, 2, 1]
-                }
-            }
-            PageSize::Size2M => {
-                if self.psc.pdpte_hit(addr) {
-                    vec![2]
-                } else if self.psc.pml4e_hit(addr) {
-                    vec![3, 2]
-                } else {
-                    vec![4, 3, 2]
-                }
-            }
-            PageSize::Size1G => {
-                if self.psc.pml4e_hit(addr) {
-                    vec![3]
-                } else {
-                    vec![4, 3]
-                }
-            }
+        // The walk reads one entry per level, from the first level no paging-
+        // structure cache covers down to the leaf level of the page size.
+        let leaf = match size {
+            PageSize::Size4K => 1,
+            PageSize::Size2M => 2,
+            PageSize::Size1G => 3,
         };
-        let mut refs = 0u32;
-        for level in levels {
+        let first = if size == PageSize::Size4K && pde_hit {
+            1
+        } else if size != PageSize::Size1G && self.psc.pdpte_hit(addr) {
+            2
+        } else if self.psc.pml4e_hit(addr) {
+            3
+        } else {
+            4
+        };
+        for level in (leaf..=first).rev() {
             let pte_line = self.page_table.entry_address(level, addr) >> 6;
-            let counter = if self.l1d.access(pte_line) {
-                names::walk_ref(1)
+            let walk_ref = if self.l1d.access(pte_line) {
+                1
             } else if self.l2.access(pte_line) {
-                names::walk_ref(2)
+                2
             } else if self.l3.access(pte_line) {
-                names::walk_ref(3)
+                3
             } else {
-                names::walk_ref(4)
+                4
             };
-            self.counts.increment(&counter);
-            refs += 1;
+            self.counts.increment(EventId::walk_ref(walk_ref));
         }
-        refs
+        u32::from(first - leaf + 1)
     }
 }
 
@@ -446,6 +431,7 @@ fn walk_key(addr: VirtAddr, size: PageSize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use AccessType::{Load, Store};
 
     fn linear_accesses(bytes: u64, stride: u64) -> Vec<MemoryAccess> {
         (0..bytes / stride)
@@ -457,7 +443,7 @@ mod tests {
     fn every_access_retires() {
         let mut mmu = HaswellMmu::new(MmuConfig::haswell());
         mmu.run(linear_accesses(1 << 20, 64), PageSize::Size4K);
-        assert_eq!(mmu.counts().get("load.ret"), (1 << 20) / 64);
+        assert_eq!(mmu.counts().get(EventId::ret(Load)), (1 << 20) / 64);
         assert_eq!(mmu.accesses(), (1 << 20) / 64);
     }
 
@@ -468,10 +454,10 @@ mod tests {
             .map(|i| MemoryAccess::store(i * 4096))
             .collect();
         mmu.run(accesses, PageSize::Size4K);
-        assert_eq!(mmu.counts().get("store.ret"), 1000);
-        assert_eq!(mmu.counts().get("load.ret"), 0);
-        assert!(mmu.counts().get("store.causes_walk") > 0);
-        assert_eq!(mmu.counts().get("load.causes_walk"), 0);
+        assert_eq!(mmu.counts().get(EventId::ret(Store)), 1000);
+        assert_eq!(mmu.counts().get(EventId::ret(Load)), 0);
+        assert!(mmu.counts().get(EventId::causes_walk(Store)) > 0);
+        assert_eq!(mmu.counts().get(EventId::causes_walk(Load)), 0);
     }
 
     #[test]
@@ -481,8 +467,10 @@ mod tests {
         mmu.run(accesses, PageSize::Size4K);
         // Only accesses issued before the first walk's fill becomes visible can
         // miss, and only the first of them starts a walk.
-        assert!(mmu.counts().get("load.ret_stlb_miss") <= MmuConfig::haswell().walk_latency + 1);
-        assert_eq!(mmu.counts().get("load.causes_walk"), 1);
+        assert!(
+            mmu.counts().get(EventId::ret_stlb_miss(Load)) <= MmuConfig::haswell().walk_latency + 1
+        );
+        assert_eq!(mmu.counts().get(EventId::causes_walk(Load)), 1);
     }
 
     #[test]
@@ -495,9 +483,10 @@ mod tests {
             mmu.run(accesses, size);
             let done = mmu
                 .counts()
-                .get(&format!("load.walk_done_{}", size.label()));
+                .value_of(&format!("load.walk_done_{size}"))
+                .unwrap();
             assert!(done > 0, "no completed walks for {size}");
-            assert_eq!(mmu.counts().get("load.walk_done"), done);
+            assert_eq!(mmu.counts().get(EventId::walk_done(Load)), done);
         }
     }
 
@@ -514,7 +503,8 @@ mod tests {
         mmu.run(accesses, PageSize::Size4K);
         assert!(mmu.merged_walks() > 0);
         assert!(
-            mmu.counts().get("load.ret_stlb_miss") > mmu.counts().get("load.walk_done"),
+            mmu.counts().get(EventId::ret_stlb_miss(Load))
+                > mmu.counts().get(EventId::walk_done(Load)),
             "merging should make retired STLB misses exceed completed walks"
         );
     }
@@ -531,8 +521,8 @@ mod tests {
         mmu.run(accesses, PageSize::Size4K);
         assert_eq!(mmu.merged_walks(), 0);
         assert_eq!(
-            mmu.counts().get("load.ret_stlb_miss"),
-            mmu.counts().get("load.causes_walk")
+            mmu.counts().get(EventId::ret_stlb_miss(Load)),
+            mmu.counts().get(EventId::causes_walk(Load))
         );
     }
 
@@ -551,10 +541,11 @@ mod tests {
         }
         mmu.run(accesses, PageSize::Size4K);
         assert!(
-            mmu.counts().get("load.pde$_miss") > mmu.counts().get("load.causes_walk"),
+            mmu.counts().get(EventId::pde_miss(Load))
+                > mmu.counts().get(EventId::causes_walk(Load)),
             "early PSC lookup + merging should let pde$_miss ({}) exceed causes_walk ({})",
-            mmu.counts().get("load.pde$_miss"),
-            mmu.counts().get("load.causes_walk")
+            mmu.counts().get(EventId::pde_miss(Load)),
+            mmu.counts().get(EventId::causes_walk(Load))
         );
     }
 
@@ -567,7 +558,7 @@ mod tests {
         let pass = linear_accesses(footprint, 64);
         let mut mmu = HaswellMmu::new(MmuConfig::haswell());
         mmu.run(pass.clone(), PageSize::Size4K);
-        let misses_first = mmu.counts().get("load.ret_stlb_miss");
+        let misses_first = mmu.counts().get(EventId::ret_stlb_miss(Load));
         mmu.run(pass.clone(), PageSize::Size4K);
         mmu.run(pass, PageSize::Size4K);
         assert!(
@@ -576,8 +567,8 @@ mod tests {
         );
         // In the steady state most pages are covered by prefetch, so walks exceed
         // retired STLB misses accumulated after the first pass.
-        let misses_total = mmu.counts().get("load.ret_stlb_miss");
-        let walks = mmu.counts().get("load.causes_walk");
+        let misses_total = mmu.counts().get(EventId::ret_stlb_miss(Load));
+        let walks = mmu.counts().get(EventId::causes_walk(Load));
         assert!(
             walks > misses_total - misses_first,
             "prefetch-induced walks ({walks}) should exceed demand misses after warm-up"
@@ -616,8 +607,10 @@ mod tests {
             .collect();
         mmu.run(accesses, PageSize::Size4K);
         assert!(mmu.replayed_walks() > 0);
-        let total_refs: u64 = (1..=4).map(|l| mmu.counts().get(&names::walk_ref(l))).sum();
-        let walks = mmu.counts().get("load.causes_walk");
+        let total_refs: u64 = (1..=4)
+            .map(|l| mmu.counts().get(EventId::walk_ref(l)))
+            .sum();
+        let walks = mmu.counts().get(EventId::causes_walk(Load));
         assert!(
             total_refs < walks,
             "replayed walks should leave walk_ref ({total_refs}) below causes_walk ({walks})"
@@ -634,8 +627,10 @@ mod tests {
             .map(|i| MemoryAccess::load(i * 4096))
             .collect();
         mmu.run(accesses, PageSize::Size4K);
-        let total_refs: u64 = (1..=4).map(|l| mmu.counts().get(&names::walk_ref(l))).sum();
-        assert!(total_refs >= mmu.counts().get("load.causes_walk"));
+        let total_refs: u64 = (1..=4)
+            .map(|l| mmu.counts().get(EventId::walk_ref(l)))
+            .sum();
+        assert!(total_refs >= mmu.counts().get(EventId::causes_walk(Load)));
     }
 
     #[test]
@@ -653,7 +648,7 @@ mod tests {
                 .collect();
             mmu.run(accesses, PageSize::Size1G);
             (1..=4)
-                .map(|l| mmu.counts().get(&names::walk_ref(l)))
+                .map(|l| mmu.counts().get(EventId::walk_ref(l)))
                 .sum::<u64>()
         };
         assert!(run_refs(true) < run_refs(false));
@@ -670,8 +665,8 @@ mod tests {
             .collect();
         mmu.run(accesses, PageSize::Size4K);
         assert_eq!(
-            mmu.counts().get("load.stlb_hit"),
-            mmu.counts().get("load.stlb_hit_4k")
+            mmu.counts().get(EventId::stlb_hit(Load)),
+            mmu.counts().get(EventId::stlb_hit_4k(Load))
         );
     }
 
@@ -685,11 +680,13 @@ mod tests {
         assert_eq!(mmu.replayed_walks(), 0);
         // Without merging or prefetching, misses and walks line up exactly.
         assert_eq!(
-            mmu.counts().get("load.ret_stlb_miss"),
-            mmu.counts().get("load.causes_walk")
+            mmu.counts().get(EventId::ret_stlb_miss(Load)),
+            mmu.counts().get(EventId::causes_walk(Load))
         );
-        let total_refs: u64 = (1..=4).map(|l| mmu.counts().get(&names::walk_ref(l))).sum();
-        assert!(total_refs >= mmu.counts().get("load.causes_walk"));
+        let total_refs: u64 = (1..=4)
+            .map(|l| mmu.counts().get(EventId::walk_ref(l)))
+            .sum();
+        assert!(total_refs >= mmu.counts().get(EventId::causes_walk(Load)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! phase-dependent intensity, counts each event only on the slices its group is
 //! scheduled on, and extrapolates.
 
-use crate::hec::CounterValues;
+use crate::hec::EventId;
 use crate::mem::{MemoryAccess, PageSize};
 use crate::mmu::HaswellMmu;
 use counterpoint_mudd::CounterSpace;
@@ -81,7 +81,9 @@ pub fn multiplexing_rounds(num_events: usize, physical_counters: usize) -> usize
 ///
 /// # Panics
 ///
-/// Panics if `intervals` is zero.
+/// Panics if `intervals` is zero, or if `space` names a counter that is not one
+/// of the Table 2 events (resolve the space with [`EventId::resolve`] and call
+/// [`ground_truth_events`] to handle that case).
 pub fn ground_truth_intervals(
     mmu: &mut HaswellMmu,
     accesses: &[MemoryAccess],
@@ -89,16 +91,33 @@ pub fn ground_truth_intervals(
     space: &CounterSpace,
     intervals: usize,
 ) -> Vec<Vec<f64>> {
+    let events = EventId::resolve(space).expect("the space names only Table 2 events");
+    ground_truth_events(mmu, accesses, page_size, &events, intervals)
+}
+
+/// [`ground_truth_intervals`] over already-resolved events: row `i`, column
+/// `j` is the increment of `events[j]` during interval `i`.
+///
+/// # Panics
+///
+/// Panics if `intervals` is zero.
+pub fn ground_truth_events(
+    mmu: &mut HaswellMmu,
+    accesses: &[MemoryAccess],
+    page_size: PageSize,
+    events: &[EventId],
+    intervals: usize,
+) -> Vec<Vec<f64>> {
     assert!(intervals > 0, "need at least one measurement interval");
     let chunk = (accesses.len() / intervals).max(1);
     let mut true_increments = Vec::with_capacity(intervals);
-    let mut previous: CounterValues = mmu.counts().clone();
+    let mut previous = *mmu.counts();
     for slice in accesses.chunks(chunk) {
         for a in slice {
             mmu.access(a, page_size);
         }
-        let now = mmu.counts().clone();
-        true_increments.push(now.delta_vector(&previous, space));
+        let now = *mmu.counts();
+        true_increments.push(now.delta_vector(&previous, events));
         previous = now;
     }
     true_increments

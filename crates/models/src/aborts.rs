@@ -68,7 +68,7 @@ pub fn abort_request_mudd(space: &CounterSpace, points: &[AbortPoint]) -> Option
                 b.causal_labeled(which, pde, point.label());
                 let end_hit = b.end();
                 b.causal_labeled(pde, end_hit, "Hit");
-                let miss = b.counter(&names::pde_miss(AccessType::Load));
+                let miss = b.counter(names::pde_miss(AccessType::Load));
                 b.causal_labeled(pde, miss, "Miss");
                 let end_miss = b.end();
                 b.causal(miss, end_miss);
@@ -77,12 +77,12 @@ pub fn abort_request_mudd(space: &CounterSpace, points: &[AbortPoint]) -> Option
                 let pde = b.decision("AbPdeWalk");
                 b.causal_labeled(which, pde, point.label());
                 // Either PDE status is possible before the walk starts.
-                let causes_hit = b.counter(&names::causes_walk(AccessType::Load));
+                let causes_hit = b.counter(names::causes_walk(AccessType::Load));
                 b.causal_labeled(pde, causes_hit, "Hit");
                 partial_refs(&mut b, causes_hit, "hit");
-                let miss = b.counter(&names::pde_miss(AccessType::Load));
+                let miss = b.counter(names::pde_miss(AccessType::Load));
                 b.causal_labeled(pde, miss, "Miss");
-                let causes_miss = b.counter(&names::causes_walk(AccessType::Load));
+                let causes_miss = b.counter(names::causes_walk(AccessType::Load));
                 b.causal(miss, causes_miss);
                 partial_refs(&mut b, causes_miss, "miss");
             }
@@ -107,7 +107,7 @@ fn partial_refs(b: &mut MuDdBuilder, from: NodeId, tag: &str) {
         for (arm, lvl) in [("L1", 1usize), ("L2", 2), ("L3", 3), ("Mem", 4)] {
             let mut prev: Option<NodeId> = None;
             for _ in 0..k {
-                let c = b.counter(&names::walk_ref(lvl));
+                let c = b.counter(names::walk_ref(lvl));
                 match prev {
                     None => b.causal_labeled(level, c, arm),
                     Some(p) => b.causal(p, c),
@@ -148,7 +148,7 @@ mod tests {
         let mudd = abort_request_mudd(&space, &[AbortPoint::DuringWalk]).unwrap();
         let causes = space.index_of("load.causes_walk").unwrap();
         let refs: Vec<usize> = (1..=4)
-            .map(|l| space.index_of(&names::walk_ref(l)).unwrap())
+            .map(|l| space.index_of(names::walk_ref(l)).unwrap())
             .collect();
         let paths = mudd.enumerate_paths().unwrap();
         // Walk started with zero references.

@@ -109,7 +109,7 @@ pub fn demand_mudd(space: &CounterSpace, opts: &DemandOptions) -> MuDd {
     };
     let mut b = MuDdBuilder::new(&format!("demand_{t}"), space);
     let start = b.start();
-    let ret = b.counter(&names::ret(t));
+    let ret = b.counter(names::ret(t));
     b.causal(start, ret);
     let psize = b.decision("PageSize");
     b.causal(ret, psize);
@@ -136,7 +136,7 @@ fn size_branch(b: &mut MuDdBuilder, ctx: &mut Ctx<'_>, from: NodeId, size: PageS
     if size == PageSize::Size1G {
         // 1 GiB translations are not held in the STLB: an L1 miss goes straight to
         // the MMU.
-        let miss = b.counter(&names::ret_stlb_miss(t));
+        let miss = b.counter(names::ret_stlb_miss(t));
         connect(b, l1, Some("Miss"), miss);
         translation_request(b, ctx, miss, None, size);
         return;
@@ -146,17 +146,17 @@ fn size_branch(b: &mut MuDdBuilder, ctx: &mut Ctx<'_>, from: NodeId, size: PageS
     connect(b, l1, Some("Miss"), stlb);
 
     // STLB hit.
-    let hit = b.counter(&names::stlb_hit(t));
+    let hit = b.counter(names::stlb_hit(t));
     connect(b, stlb, Some("Hit"), hit);
     let hit_size = match size {
-        PageSize::Size4K => b.counter(&names::stlb_hit_4k(t)),
-        _ => b.counter(&names::stlb_hit_2m(t)),
+        PageSize::Size4K => b.counter(names::stlb_hit_4k(t)),
+        _ => b.counter(names::stlb_hit_2m(t)),
     };
     b.causal(hit, hit_size);
     terminate(b, ctx, hit_size, None, Progress::StlbHit);
 
     // STLB miss: the μop retires with a miss and sends a translation request.
-    let miss = b.counter(&names::ret_stlb_miss(t));
+    let miss = b.counter(names::ret_stlb_miss(t));
     connect(b, stlb, Some("Miss"), miss);
     translation_request(b, ctx, miss, None, size);
 }
@@ -174,7 +174,7 @@ fn translation_request(
         let pde = b.decision("Pde4K");
         connect(b, from, label, pde);
         after_pde(b, ctx, pde, Some("Hit"), size, Some(true));
-        let miss = b.counter(&names::pde_miss(ctx.opts.access));
+        let miss = b.counter(names::pde_miss(ctx.opts.access));
         connect(b, pde, Some("Miss"), miss);
         after_pde(b, ctx, miss, None, size, Some(false));
     } else {
@@ -216,7 +216,7 @@ fn walk_entry(
         let pde = b.decision("Pde4K");
         connect(b, from, label, pde);
         start_walk(b, ctx, pde, Some("Hit"), size, Some(true));
-        let miss = b.counter(&names::pde_miss(ctx.opts.access));
+        let miss = b.counter(names::pde_miss(ctx.opts.access));
         connect(b, pde, Some("Miss"), miss);
         start_walk(b, ctx, miss, None, size, Some(false));
     } else {
@@ -233,7 +233,7 @@ fn start_walk(
     pde_hit: Option<bool>,
 ) {
     let t = ctx.opts.access;
-    let causes = b.counter(&names::causes_walk(t));
+    let causes = b.counter(names::causes_walk(t));
     connect(b, from, label, causes);
     if ctx.bypass {
         let bypass = b.decision(&ctx.fresh("Bypass"));
@@ -313,7 +313,7 @@ fn emit_refs(
     for (arm, level) in [("L1", 1usize), ("L2", 2), ("L3", 3), ("Mem", 4)] {
         let mut prev: Option<NodeId> = None;
         for _ in 0..count {
-            let c = b.counter(&names::walk_ref(level));
+            let c = b.counter(names::walk_ref(level));
             match prev {
                 None => b.causal_labeled(level_decision, c, arm),
                 Some(p) => b.causal(p, c),
@@ -334,12 +334,12 @@ fn walk_done(
     size: PageSize,
 ) {
     let t = ctx.opts.access;
-    let done = b.counter(&names::walk_done(t));
+    let done = b.counter(names::walk_done(t));
     connect(b, from, label, done);
     let done_size = match size {
-        PageSize::Size4K => b.counter(&names::walk_done_4k(t)),
-        PageSize::Size2M => b.counter(&names::walk_done_2m(t)),
-        PageSize::Size1G => b.counter(&names::walk_done_1g(t)),
+        PageSize::Size4K => b.counter(names::walk_done_4k(t)),
+        PageSize::Size2M => b.counter(names::walk_done_2m(t)),
+        PageSize::Size1G => b.counter(names::walk_done_1g(t)),
     };
     b.causal(done, done_size);
     terminate(b, ctx, done_size, None, Progress::StlbMiss);
@@ -483,7 +483,7 @@ mod tests {
         let s = space();
         let done = s.index_of("load.walk_done").unwrap();
         let refs: Vec<usize> = (1..=4)
-            .map(|l| s.index_of(&names::walk_ref(l)).unwrap())
+            .map(|l| s.index_of(names::walk_ref(l)).unwrap())
             .collect();
         assert!(with.enumerate_paths().unwrap().iter().any(|p| {
             p.signature().get(done) == 1 && refs.iter().all(|&r| p.signature().get(r) == 0)
@@ -497,7 +497,7 @@ mod tests {
             let mudd = demand_mudd(&s, &DemandOptions::new(AccessType::Load, features));
             let done_1g = s.index_of("load.walk_done_1g").unwrap();
             let refs: Vec<usize> = (1..=4)
-                .map(|l| s.index_of(&names::walk_ref(l)).unwrap())
+                .map(|l| s.index_of(names::walk_ref(l)).unwrap())
                 .collect();
             mudd.enumerate_paths()
                 .unwrap()

@@ -4,10 +4,15 @@
 //! structs), and replayed through [`ReplayBackend`] must reproduce the original
 //! observations bit-for-bit — and match the pre-rewire harness output exactly.
 
+use counterpoint::models::family::{build_feature_model, feature_sets_table3};
 #[allow(deprecated)] // the deprecated harness shim must stay in lockstep until removed
 use counterpoint::models::harness::collect_case_study_observations;
 use counterpoint::models::harness::{case_study_campaign, HarnessConfig};
-use counterpoint::{Observation, ReplayBackend, Trace};
+use counterpoint::{
+    CollectError, CounterSpace, ExplorationModel, Inquiry, Observation, ReplayBackend,
+    SessionError, SimBackend, Trace,
+};
+use counterpoint_haswell::full_counter_space;
 use counterpoint_haswell::mem::PageSize;
 
 fn assert_observations_identical(a: &[Observation], b: &[Observation]) {
@@ -101,4 +106,41 @@ fn trace_survives_a_disk_round_trip() {
     // The replay backend itself exposes the loaded trace.
     let backend = ReplayBackend::new(loaded);
     assert_eq!(backend.trace().records.len(), campaign.cells().len());
+}
+
+#[test]
+fn misspelt_counter_fails_the_inquiry_instead_of_measuring_zeros() {
+    // A counter the simulator does not have used to be measured as an all-zero
+    // column, which refutes every model predicting counts for it.
+    let config = HarnessConfig {
+        accesses_per_workload: 1_000,
+        page_sizes: vec![PageSize::Size4K],
+        intervals: 4,
+        ..HarnessConfig::default()
+    };
+    let mut names = full_counter_space().names().to_vec();
+    names[0] = "load.rett".to_string();
+    let space = CounterSpace::new(&names);
+    let (mmu, pmu) = (config.mmu.clone(), config.pmu.clone());
+    let (name, features) = feature_sets_table3().swap_remove(0);
+    let err = Inquiry::new()
+        .backend(case_study_campaign(&config), move |cell| {
+            SimBackend::new(mmu.clone(), pmu.clone())
+                .with_space(space.clone())
+                .with_seed(cell.seed)
+        })
+        .models([ExplorationModel::new(
+            &name,
+            features.clone(),
+            build_feature_model(&name, &features),
+        )])
+        .run()
+        .expect_err("an unknown counter must fail the collection");
+    assert_eq!(
+        err,
+        SessionError::Collect(CollectError::UnknownCounter {
+            backend: "sim".to_string(),
+            counter: "load.rett".to_string(),
+        })
+    );
 }
