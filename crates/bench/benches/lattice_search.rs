@@ -3,7 +3,7 @@
 //!
 //! This is the benchmark behind the CI perf-regression gate for the search
 //! layer (`ci/bench_gate.sh`): the `guided_reference*` entries run the
-//! sequential `GuidedSearch` baseline (`reference_search` — the legacy inner
+//! sequential reference baseline (`reference_search` — the original inner
 //! loop, one cold `FeasibilityChecker` solve per candidate model and
 //! observation, no state carried between solves), and the `lattice_engine*`
 //! entries run [`LatticeSearch`] on the same inputs, which must produce the

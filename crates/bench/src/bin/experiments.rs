@@ -837,6 +837,7 @@ fn stats_correlations(accesses: usize) {
         .collect();
     traces.extend(phased);
 
+    let pmu_span = counterpoint::telemetry::span("stats_pmu", "");
     for (label, trace) in traces {
         let mut mmu = HaswellMmu::new(MmuConfig::haswell());
         let samples = pmu.collect(&mut mmu, &trace, PageSize::Size4K, &space, 20);
@@ -871,6 +872,7 @@ fn stats_correlations(accesses: usize) {
             }
         }
     }
+    drop(pmu_span);
 
     println!("model-constraint violations detected across incomplete models:");
     println!("  with correlated confidence regions : {correlated_violations}");

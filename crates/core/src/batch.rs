@@ -6,8 +6,8 @@
 //! region intersect the cone?  [`FeasibilityChecker::is_feasible`] answers one
 //! instance from scratch — it recomputes the `axis · generator` coefficient
 //! matrix (a function of the cone and the counter-space axes only) and runs a
-//! cold two-phase simplex.  [`BatchFeasibility`] amortises both across a
-//! campaign:
+//! cold dual simplex from the all-slack basis.  [`BatchFeasibility`] amortises
+//! both across a campaign:
 //!
 //! * the coefficient matrix is computed **once per (cone, axes) pair** and
 //!   reused for every observation sharing those axes (all exact observations
@@ -17,23 +17,28 @@
 //!   dual simplex restarts from the previous observation's basis
 //!   ([`Tableau::resolve`]; [`Tableau::resolve_with_basis`] also lets a caller
 //!   seed a fresh tableau with a recorded basis), and a handful of pivots
-//!   replace a full two-phase solve, and
+//!   replace a full cold solve, and
 //! * verdicts of past solves are recycled: Farkas separating directions and
 //!   scaled cone-point witness rays settle many observations in `O(d²)`
 //!   without touching the LP at all.
 //!
-//! Verdicts are identical to the per-observation checker (the two paths share
-//! the row-construction arithmetic bit for bit, and the warm path falls back to
-//! the cold solver if the dual simplex fails to converge); only the work to
-//! reach them changes.  [`check_models`] fans a model family × observation
-//! matrix across `std::thread` workers with the same deterministic pattern the
-//! `counterpoint-collect` campaign runner uses: results land in model order no
-//! matter how many workers run or which finishes first.
+//! Verdicts are identical to the per-observation checker: the two paths share
+//! the row-construction arithmetic bit for bit, and every verdict the warm
+//! tableau does not settle — the checker's own, a thin-margin tier-1 verdict,
+//! a warm solve that fails to converge — comes from one cold solve built only
+//! from the cone and the observation.  If that cold solve fails to converge
+//! too, the verdict is [`FeasibilityVerdict::Inconclusive`].  Only the work to
+//! reach a verdict changes.  [`check_models`] fans a model family ×
+//! observation matrix across `std::thread` workers with the same deterministic
+//! pattern the `counterpoint-collect` campaign runner uses: results land in
+//! model order no matter how many workers run or which finishes first.
+//!
+//! [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
 
 use crate::cone::ModelCone;
-use crate::feasibility::{observation_scale, row_bounds, ConeMatrix, FeasibilityChecker};
+use crate::feasibility::{observation_scale, row_bounds, ConeMatrix};
 use crate::observation::Observation;
-use counterpoint_lp::{FactorTableau, LinearProgram, Relation, Tableau};
+use counterpoint_lp::{FactorTableau, Tableau};
 use counterpoint_numeric::Rational;
 use counterpoint_stats::ConfidenceRegion;
 use counterpoint_telemetry as telemetry;
@@ -68,8 +73,8 @@ pub enum FeasibilityVerdict {
         /// still sound).
         certificate: Vec<f64>,
     },
-    /// No verdict could be reached: the dual simplex, the cold restart and the
-    /// two-phase fallback all failed to converge.  The bool-returning
+    /// No verdict could be reached: the dual simplex failed to converge, and
+    /// so did its one cold restart from the all-slack basis.  The bool-returning
     /// [`BatchFeasibility::is_feasible`] resolves this as not-refuted (no
     /// certificate exists); the verdict path reports it explicitly so a
     /// session can record the gap and move on.  Each occurrence increments
@@ -151,9 +156,11 @@ struct AxesCache {
 /// [`is_feasible`](BatchFeasibility::is_feasible) takes `&mut self` so the
 /// engine can keep the factorised LP state alive between calls.  Use it
 /// whenever more than a handful of observations are tested against the same
-/// cone — [`FeasibilityChecker::count_infeasible`] and
-/// [`evaluate_models`](crate::explore::evaluate_models) already route through
-/// it.
+/// cone — [`FeasibilityChecker::count_infeasible`], [`check_models`] and the
+/// session layer already route through it.
+///
+/// [`FeasibilityChecker::new`]: crate::FeasibilityChecker::new
+/// [`FeasibilityChecker::count_infeasible`]: crate::FeasibilityChecker::count_infeasible
 ///
 /// # Example
 ///
@@ -181,10 +188,12 @@ struct AxesCache {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BatchFeasibility<'a> {
-    checker: FeasibilityChecker<'a>,
+    cone: &'a ModelCone,
+    /// The generators as dense `f64` vectors, in LP column order.  Borrowed
+    /// from the cone's memoized conversion, like `sparse`.
+    generators: &'a [Vec<f64>],
     /// Non-zero generator entries in index order — μpath signatures are
     /// sparse, so the per-observation coefficient matmul iterates only these.
-    /// Borrowed from the cone's memoized conversion.
     sparse: &'a [Vec<(usize, f64)>],
     cache: Option<AxesCache>,
     /// Counter-space separating directions harvested from past infeasible
@@ -216,11 +225,11 @@ pub struct BatchFeasibility<'a> {
 impl<'a> BatchFeasibility<'a> {
     /// Prepares a batched engine for the given model cone.
     pub fn new(cone: &'a ModelCone) -> BatchFeasibility<'a> {
-        let checker = FeasibilityChecker::new(cone);
-        let sparse = cone.generators_f64().sparse.as_slice();
+        let generators = cone.generators_f64();
         BatchFeasibility {
-            checker,
-            sparse,
+            cone,
+            generators: &generators.dense,
+            sparse: &generators.sparse,
             cache: None,
             certificates: Vec::new(),
             witness_rays: Vec::new(),
@@ -234,14 +243,14 @@ impl<'a> BatchFeasibility<'a> {
 
     /// The model cone under test.
     pub fn cone(&self) -> &ModelCone {
-        self.checker.cone()
+        self.cone
     }
 
     /// The cone generators as dense `f64` vectors, in LP column order — the
     /// ordering [`basis_handoff`](BatchFeasibility::basis_handoff) bases refer
     /// to.
     pub(crate) fn generator_vectors(&self) -> &[Vec<f64>] {
-        self.checker.generators()
+        self.generators
     }
 
     /// Verifies that a Farkas separating direction — typically harvested from
@@ -253,8 +262,7 @@ impl<'a> BatchFeasibility<'a> {
     /// any observation the direction separates is infeasible for this model
     /// too.
     pub fn certificate_applies(&self, direction: &[f64]) -> bool {
-        direction.len() == self.checker.cone().dimension()
-            && certificate_is_sound(self.sparse, direction)
+        direction.len() == self.cone.dimension() && certificate_is_sound(self.sparse, direction)
     }
 
     /// The current warm tableau state — the cached confidence-region axes and
@@ -285,7 +293,7 @@ impl<'a> BatchFeasibility<'a> {
     /// columns may be marked `usize::MAX`; they are skipped during
     /// installation and the affected rows keep their slack).  Only the pivot
     /// count changes: the dual simplex restores feasibility from whatever
-    /// basis is installed, and the engine still falls back to a cold solve on
+    /// basis is installed, and the engine still restarts cold on
     /// non-convergence.
     ///
     /// # Panics
@@ -312,19 +320,18 @@ impl<'a> BatchFeasibility<'a> {
     ///
     /// Panics if the observation's dimension differs from the cone's.
     ///
-    /// LP non-convergence on every solve path (pathological cycling) does
-    /// *not* panic: a refutation needs a Farkas certificate and none exists,
-    /// so the observation deterministically counts as not refuted (`true`),
-    /// mirrored by [`FeasibilityChecker::is_feasible`].  Callers that need to
-    /// distinguish this case use [`verdict`](BatchFeasibility::verdict) or
+    /// LP non-convergence (pathological cycling, on the warm solve and its
+    /// cold restart) does *not* panic: a refutation needs a Farkas
+    /// certificate and none exists, so the observation deterministically
+    /// counts as not refuted (`true`), mirrored by
+    /// [`FeasibilityChecker::is_feasible`].  Callers that need to distinguish
+    /// this case use [`verdict`](BatchFeasibility::verdict) or
     /// [`decide_lenient`](BatchFeasibility::decide_lenient), which surface it
     /// as [`FeasibilityVerdict::Inconclusive`].
+    ///
+    /// [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
     pub fn is_feasible(&mut self, observation: &Observation) -> bool {
-        match self.decide(observation, false) {
-            FeasibilityVerdict::Feasible { .. } => true,
-            FeasibilityVerdict::Refuted { .. } => false,
-            FeasibilityVerdict::Inconclusive { .. } => true,
-        }
+        not_refuted(&self.decide(observation, false))
     }
 
     /// The cheapest verdict-level decision: the same no-evidence work as
@@ -360,17 +367,16 @@ impl<'a> BatchFeasibility<'a> {
     /// [`is_feasible`]: BatchFeasibility::is_feasible
     /// [`verdict`]: BatchFeasibility::verdict
     fn decide(&mut self, observation: &Observation, want_evidence: bool) -> FeasibilityVerdict {
-        let cone = self.checker.cone();
         assert_eq!(
             observation.dimension(),
-            cone.dimension(),
+            self.cone.dimension(),
             "observation and model must share a counter space"
         );
-        let dim = cone.dimension();
+        let dim = self.cone.dimension();
         let region = observation.region();
 
         // Degenerate cone: only the origin is producible.
-        if self.checker.generators().is_empty() {
+        if self.sparse.is_empty() {
             return if region.contains(&vec![0.0; dim]) {
                 let witness = if want_evidence {
                     vec![0.0; dim]
@@ -429,7 +435,7 @@ impl<'a> BatchFeasibility<'a> {
             return FeasibilityVerdict::Feasible { witness };
         }
 
-        let num_flows = self.checker.generators().len();
+        let num_flows = self.sparse.len();
         let axes_match = self.cache.as_ref().is_some_and(|cache| {
             (cache.standard && region.standard_axes()) || cache.axes.as_slice() == region.axes()
         });
@@ -510,12 +516,11 @@ impl<'a> BatchFeasibility<'a> {
         if !want_evidence {
             // Tier 1: the factorized f64 solver decides, and only verdicts
             // whose terminal margin is comfortably wide are trusted.  Thin
-            // margins escalate to a cold tier-2 solve whose arithmetic is
-            // bit-identical to `FeasibilityChecker::is_feasible`, so the
-            // agreement contract holds exactly where fast arithmetic is
-            // shakiest.  Evidence solves never come through here — the warm
-            // tier-2 tableau below stays the engine of record for Report
-            // bytes.
+            // margins escalate to the cold tier-2 solve
+            // `FeasibilityChecker::is_feasible` runs, so the agreement
+            // contract holds exactly where fast arithmetic is shakiest.
+            // Evidence solves never come through here — the warm tier-2
+            // tableau below stays the engine of record for Report bytes.
             if cache.fast.is_none() {
                 cache.fast = Some(FactorTableau::band(num_flows, &cache.matrix.rows));
             }
@@ -540,7 +545,7 @@ impl<'a> BatchFeasibility<'a> {
                 }
                 Ok(_) => {
                     telemetry::add(telemetry::Metric::LpTier2Escalations, 1);
-                    self.escalate_exact(observation, region)
+                    self.escalate_exact(region, scale)
                 }
                 Err(_) => self.cold_fallback(observation, region, scale, false),
             };
@@ -565,11 +570,11 @@ impl<'a> BatchFeasibility<'a> {
         }
     }
 
-    /// The historical non-convergence escape hatch, shared by both tiers: the
-    /// warm path cycled out of its iteration budget, so drop the poisoned
-    /// state and answer exactly like the per-observation checker does — a
-    /// cold dual-simplex solve, with the two-phase primal as the last resort
-    /// — so the agreement contract holds even on this path.
+    /// The one cold restart after a warm solve cycled out of its iteration
+    /// budget, shared by both tiers: drop the poisoned warm state and answer
+    /// exactly like the per-observation checker does, from a fresh
+    /// [`ColdSolve`].  If that solve fails to converge too, the verdict is
+    /// [`FeasibilityVerdict::Inconclusive`].
     fn cold_fallback(
         &mut self,
         observation: &Observation,
@@ -577,96 +582,26 @@ impl<'a> BatchFeasibility<'a> {
         scale: f64,
         want_evidence: bool,
     ) -> FeasibilityVerdict {
-        let dim = self.checker.cone().dimension();
-        let num_flows = self.checker.generators().len();
         telemetry::add(telemetry::Metric::ColdSolverFallbacks, 1);
         let _span = telemetry::span("lp_cold_solve", observation.name());
         self.cache = None;
-        let matrix = ConeMatrix::build(region.axes(), self.checker.generators());
-        let mut lo = Vec::with_capacity(matrix.rows.len());
-        let mut hi = Vec::with_capacity(matrix.rows.len());
-        for k in 0..matrix.rows.len() {
-            let (l, h) = row_bounds(region, &matrix, k, scale);
-            lo.push(l);
-            hi.push(h);
-        }
-        let mut cold = Tableau::band(num_flows, &matrix.rows);
-        match cold.resolve(&lo, &hi) {
-            Ok(true) => {
-                let witness = if want_evidence {
-                    scaled_flow_combination(self.sparse, cold.basic_flows(), scale, dim)
-                } else {
-                    Vec::new()
-                };
-                FeasibilityVerdict::Feasible { witness }
-            }
-            Ok(false) => {
-                let certificate = if want_evidence {
-                    fold_certificate(region, &matrix, &cold, dim)
-                        .filter(|c| certificate_is_sound(self.sparse, c))
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                FeasibilityVerdict::Refuted { certificate }
-            }
-            Err(_) => {
-                let mut lp = LinearProgram::new(num_flows);
-                for (k, row) in matrix.rows.iter().enumerate() {
-                    lp.add_constraint(row, Relation::Ge, lo[k]);
-                    lp.add_constraint(row, Relation::Le, hi[k]);
-                }
-                if !want_evidence {
-                    // The historical last resort (the decision is the
-                    // two-phase primal's); non-convergence is reported
-                    // as an inconclusive verdict, never a panic.
-                    return match lp.try_solve() {
-                        Ok(outcome) => {
-                            if outcome.is_feasible() {
-                                FeasibilityVerdict::Feasible {
-                                    witness: Vec::new(),
-                                }
-                            } else {
-                                FeasibilityVerdict::Refuted {
-                                    certificate: Vec::new(),
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
-                            FeasibilityVerdict::Inconclusive {
-                                reason: format!("every LP solve path failed to converge: {e}"),
-                            }
-                        }
-                    };
-                }
-                match lp.try_solve() {
-                    Ok(outcome) => match outcome.solution() {
-                        Some(flows) => {
-                            let witness = scaled_flow_combination(
-                                self.sparse,
-                                flows.iter().copied().enumerate(),
-                                scale,
-                                dim,
-                            );
-                            FeasibilityVerdict::Feasible { witness }
-                        }
-                        // Two-phase infeasibility yields no usable
-                        // multipliers through this interface.
-                        None => FeasibilityVerdict::Refuted {
-                            certificate: Vec::new(),
-                        },
-                    },
-                    Err(e) => {
-                        telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
-                        FeasibilityVerdict::Inconclusive {
-                            reason: format!("every LP solve path failed to converge: {e}"),
-                        }
-                    }
+        let dim = self.cone.dimension();
+        let mut cold = ColdSolve::new(self.sparse, region, scale);
+        match cold.solve() {
+            FeasibilityVerdict::Feasible { .. } if want_evidence => {
+                let (raw, _) = flow_combination(self.sparse, cold.tableau.basic_flows(), dim);
+                FeasibilityVerdict::Feasible {
+                    witness: raw.iter().map(|v| v * scale).collect(),
                 }
             }
+            FeasibilityVerdict::Refuted { .. } if want_evidence => FeasibilityVerdict::Refuted {
+                certificate: sound_certificate(self.sparse, region, &cold.matrix, &cold.tableau)
+                    .unwrap_or_default(),
+            },
+            verdict => verdict,
         }
     }
+
     /// Wraps up a feasible warm solve: reconstructs the counter-space cone
     /// point of the solution the tableau just found (`y* = Σ f_j · g_j` over
     /// the basic flows) and caches its unit-norm ray for future feasible
@@ -674,38 +609,27 @@ impl<'a> BatchFeasibility<'a> {
     /// the raw problem, so the cached ray's direction — all that matters — is
     /// unchanged; the returned witness carries the real magnitudes.
     fn conclude_feasible(&mut self, scale: f64, want_evidence: bool) -> Vec<f64> {
-        let cache_open = self.witness_rays.len() < MAX_WITNESS_RAYS;
-        if !want_evidence && !cache_open {
+        if !want_evidence && self.witness_rays.len() >= MAX_WITNESS_RAYS {
             return Vec::new();
         }
         let Some(cache) = self.cache.as_ref() else {
             return Vec::new();
         };
-        let dim = self.checker.cone().dimension();
         // Accumulate the *unscaled* flow combination first: the cached ray is
-        // normalised from it (bit-identical to the historical harvest), and
-        // the returned witness re-applies the observation scale afterwards.
-        let raw = flow_combination(self.sparse, cache.tableau.basic_flows(), dim);
-        let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        if cache_open && norm.is_finite() && norm > 0.0 {
-            self.witness_rays
-                .push(raw.iter().map(|v| v / norm).collect());
-            // The ray's support: the generators its flow combination used
-            // (the same `f > 1e-9` filter `flow_combination` applies).
-            self.witness_supports.push(
-                cache
-                    .tableau
-                    .basic_flows()
-                    .filter(|&(_, f)| f > 1e-9)
-                    .map(|(j, _)| j)
-                    .collect(),
-            );
-        }
-        if want_evidence {
+        // normalised from it, and the returned witness re-applies the
+        // observation scale afterwards.
+        let (raw, support) = flow_combination(
+            self.sparse,
+            cache.tableau.basic_flows(),
+            self.cone.dimension(),
+        );
+        let witness = if want_evidence {
             raw.iter().map(|v| v * scale).collect()
         } else {
             Vec::new()
-        }
+        };
+        self.push_witness_ray(&raw, support);
+        witness
     }
 
     /// Wraps up an infeasible warm solve: folds the tableau's Farkas
@@ -720,89 +644,49 @@ impl<'a> BatchFeasibility<'a> {
     /// re-verified against the generators before caching or returning (the
     /// multipliers are only non-negative up to the solver tolerance).
     fn conclude_refuted(&mut self, region: &ConfidenceRegion, want_evidence: bool) -> Vec<f64> {
-        let cache_open = self.certificates.len() < MAX_CERTIFICATES;
-        if !want_evidence && !cache_open {
+        if !want_evidence && self.certificates.len() >= MAX_CERTIFICATES {
             return Vec::new();
         }
         let Some(cache) = self.cache.as_ref() else {
             return Vec::new();
         };
-        let dim = self.checker.cone().dimension();
-        let Some(direction) = fold_certificate(region, &cache.matrix, &cache.tableau, dim) else {
+        let Some(direction) = sound_certificate(self.sparse, region, &cache.matrix, &cache.tableau)
+        else {
             return Vec::new();
         };
-        if !certificate_is_sound(self.sparse, &direction) {
-            return Vec::new();
-        }
-        if cache_open {
-            self.certificates.push(direction.clone());
-        }
-        if want_evidence {
-            direction
+        let certificate = if want_evidence {
+            direction.clone()
         } else {
             Vec::new()
-        }
+        };
+        self.push_certificate(direction);
+        certificate
     }
 
-    /// Escalates a near-degenerate tier-1 verdict: re-answers the observation
-    /// with a cold tier-2 solve on the cached coefficient matrix and bounds —
-    /// the exact arithmetic `FeasibilityChecker::is_feasible` runs, bit for
-    /// bit — and harvests the exact solve's evidence into the short-circuit
-    /// pools so the escalation still pays forward.
-    fn escalate_exact(
-        &mut self,
-        observation: &Observation,
-        region: &ConfidenceRegion,
-    ) -> FeasibilityVerdict {
-        let dim = self.checker.cone().dimension();
-        let num_flows = self.checker.generators().len();
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("escalation follows a tier-1 solve");
-        let mut cold = Tableau::band(num_flows, &cache.matrix.rows);
-        match cold.resolve(&self.lo, &self.hi) {
-            Ok(true) => {
-                let cache_open = self.witness_rays.len() < MAX_WITNESS_RAYS;
-                if cache_open {
-                    let raw = flow_combination(self.sparse, cold.basic_flows(), dim);
-                    let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-                    if norm.is_finite() && norm > 0.0 {
-                        self.witness_rays
-                            .push(raw.iter().map(|v| v / norm).collect());
-                        self.witness_supports.push(
-                            cold.basic_flows()
-                                .filter(|&(_, f)| f > 1e-9)
-                                .map(|(j, _)| j)
-                                .collect(),
-                        );
-                    }
-                }
-                FeasibilityVerdict::Feasible {
-                    witness: Vec::new(),
+    /// Escalates a near-degenerate tier-1 verdict to the cold tier-2 solve —
+    /// the arithmetic `FeasibilityChecker::is_feasible` runs, bit for bit —
+    /// and harvests its evidence into the short-circuit pools so the
+    /// escalation still pays forward.  This solve already starts cold, so
+    /// non-convergence ends the chain as [`FeasibilityVerdict::Inconclusive`].
+    fn escalate_exact(&mut self, region: &ConfidenceRegion, scale: f64) -> FeasibilityVerdict {
+        let dim = self.cone.dimension();
+        let mut cold = ColdSolve::new(self.sparse, region, scale);
+        let verdict = cold.solve();
+        match verdict {
+            FeasibilityVerdict::Feasible { .. } => {
+                let (raw, support) = flow_combination(self.sparse, cold.tableau.basic_flows(), dim);
+                self.push_witness_ray(&raw, support);
+            }
+            FeasibilityVerdict::Refuted { .. } => {
+                if let Some(direction) =
+                    sound_certificate(self.sparse, region, &cold.matrix, &cold.tableau)
+                {
+                    self.push_certificate(direction);
                 }
             }
-            Ok(false) => {
-                let cache = self.cache.as_ref().expect("cache is still warm");
-                if self.certificates.len() < MAX_CERTIFICATES {
-                    if let Some(direction) = fold_certificate(region, &cache.matrix, &cold, dim) {
-                        if certificate_is_sound(self.sparse, &direction) {
-                            self.certificates.push(direction);
-                        }
-                    }
-                }
-                FeasibilityVerdict::Refuted {
-                    certificate: Vec::new(),
-                }
-            }
-            Err(_) => {
-                // Even the cold dual simplex cycled: fall through to the
-                // historical fallback chain (which re-runs it once more after
-                // dropping the warm state, then tries the two-phase primal).
-                let scale = observation_scale(region);
-                self.cold_fallback(observation, region, scale, false)
-            }
+            FeasibilityVerdict::Inconclusive { .. } => {}
         }
+        verdict
     }
 
     /// Wraps up a confidently feasible tier-1 solve: harvests the factorized
@@ -820,10 +704,10 @@ impl<'a> BatchFeasibility<'a> {
         let Some(fast) = self.cache.as_ref().and_then(|c| c.fast.as_ref()) else {
             return;
         };
-        let dim = self.checker.cone().dimension();
-        let raw = flow_combination(self.sparse, fast.basic_flows(), dim);
-        let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        if !norm.is_finite() || norm <= 0.0 {
+        let (raw, support) =
+            flow_combination(self.sparse, fast.basic_flows(), self.cone.dimension());
+        // A degenerate ray is never cached, so it is never recertified.
+        if ray_norm(&raw).is_none() {
             return;
         }
         let min_flow = fast
@@ -833,18 +717,11 @@ impl<'a> BatchFeasibility<'a> {
         if min_flow < FLOW_RECERT_MARGIN {
             telemetry::add(telemetry::Metric::LpExactRecertifications, 1);
             let flows: Vec<(usize, f64)> = fast.basic_flows().filter(|&(_, f)| f > 1e-9).collect();
-            if !combination_recertifies(self.sparse, &flows, &raw) {
+            if !exact_combination_matches(self.sparse, &flows, &raw).unwrap_or(false) {
                 return;
             }
         }
-        let support: Vec<usize> = fast
-            .basic_flows()
-            .filter(|&(_, f)| f > 1e-9)
-            .map(|(j, _)| j)
-            .collect();
-        self.witness_rays
-            .push(raw.iter().map(|v| v / norm).collect());
-        self.witness_supports.push(support);
+        self.push_witness_ray(&raw, support);
     }
 
     /// Wraps up a confidently infeasible tier-1 solve: folds the factorized
@@ -861,17 +738,40 @@ impl<'a> BatchFeasibility<'a> {
         let Some(cache) = self.cache.as_ref() else {
             return;
         };
-        let Some(fast) = cache.fast.as_ref() else {
+        let Some(pi) = cache
+            .fast
+            .as_ref()
+            .and_then(FactorTableau::farkas_multipliers)
+        else {
             return;
         };
-        let dim = self.checker.cone().dimension();
-        let Some(pi) = fast.farkas_multipliers() else {
-            return;
-        };
-        let Some(direction) = fold_certificate_from(region, &cache.matrix, pi, dim) else {
+        let Some(direction) = fold_certificate_from(region, &cache.matrix, pi) else {
             return;
         };
         if certificate_is_sound_recertified(self.sparse, &direction) {
+            self.push_certificate(direction);
+        }
+    }
+
+    /// Caches the unit ray of an unscaled flow combination, with the support
+    /// of the flows that built it, for future feasible short-circuits — when
+    /// the pool has room and the combination is not degenerate.
+    fn push_witness_ray(&mut self, raw: &[f64], support: Vec<usize>) {
+        if self.witness_rays.len() >= MAX_WITNESS_RAYS {
+            return;
+        }
+        let Some(norm) = ray_norm(raw) else {
+            return;
+        };
+        self.witness_rays
+            .push(raw.iter().map(|v| v / norm).collect());
+        self.witness_supports.push(support);
+    }
+
+    /// Caches a verified separating direction for future refutation
+    /// short-circuits, when the pool has room.
+    fn push_certificate(&mut self, direction: Vec<f64>) {
+        if self.certificates.len() < MAX_CERTIFICATES {
             self.certificates.push(direction);
         }
     }
@@ -914,29 +814,14 @@ impl<'a> BatchFeasibility<'a> {
     /// every flow is (near) zero.
     pub(crate) fn current_ray_with_support(&self) -> Option<(Vec<f64>, Vec<usize>)> {
         let cache = self.cache.as_ref()?;
-        let dim = self.checker.cone().dimension();
+        let dim = self.cone.dimension();
         // Read whichever solver actually ran last: the tier-1 factorization
-        // on decision engines, the exact tableau everywhere else.  One pass
-        // over the basic flows accumulates the combination and collects the
-        // support together (the `f > 1e-9` inclusion criterion is shared).
-        let mut raw = vec![0.0; dim];
-        let mut support = Vec::new();
-        let flows: Box<dyn Iterator<Item = (usize, f64)>> = match cache.fast.as_ref() {
-            Some(fast) => Box::new(fast.basic_flows()),
-            None => Box::new(cache.tableau.basic_flows()),
+        // on decision engines, the exact tableau everywhere else.
+        let (mut raw, support) = match cache.fast.as_ref() {
+            Some(fast) => flow_combination(self.sparse, fast.basic_flows(), dim),
+            None => flow_combination(self.sparse, cache.tableau.basic_flows(), dim),
         };
-        for (j, f) in flows {
-            if f > 1e-9 {
-                for &(i, c) in &self.sparse[j] {
-                    raw[i] += f * c;
-                }
-                support.push(j);
-            }
-        }
-        let norm = raw.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        if !norm.is_finite() || norm <= 0.0 {
-            return None;
-        }
+        let norm = ray_norm(&raw)?;
         for v in &mut raw {
             *v /= norm;
         }
@@ -962,37 +847,98 @@ impl<'a> BatchFeasibility<'a> {
     }
 }
 
-/// Accumulates the unscaled flow combination `Σ fⱼ·gⱼ` over the sparse
-/// generators (flow values within the solver tolerance of zero contribute
-/// noise only and are skipped).
+/// The one cold solve behind every verdict a warm tableau does not settle:
+/// [`FeasibilityChecker::is_feasible`], the tier-2 escalation of a thin-margin
+/// tier-1 verdict, and the restart after a warm solve fails to converge.  It
+/// is built only from the cone and the observation — a fresh coefficient
+/// matrix, fresh bounds and an all-slack band tableau — so its verdict never
+/// depends on what an engine solved before.
+///
+/// [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
+pub(crate) struct ColdSolve {
+    matrix: ConeMatrix,
+    tableau: Tableau,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+impl ColdSolve {
+    /// Builds the LP for `region` against the sparse generators, with flows
+    /// rescaled by the observation's `scale`.
+    pub(crate) fn new(
+        sparse: &[Vec<(usize, f64)>],
+        region: &ConfidenceRegion,
+        scale: f64,
+    ) -> ColdSolve {
+        let mut matrix = ConeMatrix::empty();
+        matrix.build_sparse_into(region.axes(), sparse);
+        let (lo, hi) = (0..matrix.rows.len())
+            .map(|k| row_bounds(region, &matrix, k, scale))
+            .unzip();
+        let tableau = Tableau::band(sparse.len(), &matrix.rows);
+        ColdSolve {
+            matrix,
+            tableau,
+            lo,
+            hi,
+        }
+    }
+
+    /// Runs the dual simplex to an evidence-free verdict (the tableau keeps
+    /// the basic flows or Farkas multipliers for the caller to extract).
+    /// Non-convergence is [`FeasibilityVerdict::Inconclusive`], counted by
+    /// the `lp_inconclusive_verdicts` telemetry counter.
+    pub(crate) fn solve(&mut self) -> FeasibilityVerdict {
+        match self.tableau.resolve(&self.lo, &self.hi) {
+            Ok(true) => FeasibilityVerdict::Feasible {
+                witness: Vec::new(),
+            },
+            Ok(false) => FeasibilityVerdict::Refuted {
+                certificate: Vec::new(),
+            },
+            Err(e) => {
+                telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
+                FeasibilityVerdict::Inconclusive {
+                    reason: format!("the cold dual simplex failed to converge: {e}"),
+                }
+            }
+        }
+    }
+}
+
+/// The bool both `is_feasible` entry points return for a verdict: a
+/// refutation needs a certificate, so an inconclusive verdict counts as not
+/// refuted.
+pub(crate) fn not_refuted(verdict: &FeasibilityVerdict) -> bool {
+    !verdict.is_refuted()
+}
+
+/// The unscaled flow combination `Σ fⱼ·gⱼ` over the sparse generators, with
+/// its support (the indices of the contributing flows).  Flow values within
+/// the solver tolerance of zero contribute noise only and are skipped.
 fn flow_combination(
     sparse: &[Vec<(usize, f64)>],
     flows: impl Iterator<Item = (usize, f64)>,
     dim: usize,
-) -> Vec<f64> {
+) -> (Vec<f64>, Vec<usize>) {
     let mut point = vec![0.0; dim];
+    let mut support = Vec::new();
     for (j, f) in flows {
         if f > 1e-9 {
             for &(i, c) in &sparse[j] {
                 point[i] += f * c;
             }
+            support.push(j);
         }
     }
-    point
+    (point, support)
 }
 
-/// [`flow_combination`] in real counter units: the LP works with rescaled
-/// flows `f' = f / scale`, so the counter-space point is `scale · Σ f'ⱼ·gⱼ`.
-fn scaled_flow_combination(
-    sparse: &[Vec<(usize, f64)>],
-    flows: impl Iterator<Item = (usize, f64)>,
-    scale: f64,
-    dim: usize,
-) -> Vec<f64> {
-    flow_combination(sparse, flows, dim)
-        .into_iter()
-        .map(|v| v * scale)
-        .collect()
+/// The ∞-norm of a ray, or `None` when it is zero or not finite (a
+/// degenerate ray that cannot be normalised).
+fn ray_norm(ray: &[f64]) -> Option<f64> {
+    let norm = ray.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    (norm.is_finite() && norm > 0.0).then_some(norm)
 }
 
 /// How close (relative to the generator's coefficient mass) a float soundness
@@ -1007,28 +953,29 @@ const CERT_RECERT_MARGIN: f64 = 1e-7;
 const FLOW_RECERT_MARGIN: f64 = 1e-8;
 
 /// Folds a tableau's Farkas multipliers back through the confidence-region
-/// axes into a unit-∞-norm counter-space direction:
-/// `c = Σ_k (π_{2k+1} − π_{2k}) / bound_div_k · axis_k`.  `None` if the
-/// tableau's last resolve was feasible or the folded direction degenerates.
-fn fold_certificate(
+/// axes into a unit-∞-norm counter-space direction,
+/// `c = Σ_k (π_{2k+1} − π_{2k}) / bound_div_k · axis_k`, and re-verifies it
+/// against the generators.  `None` if the tableau's last resolve was
+/// feasible, or the folded direction degenerates or is not a sound separator.
+fn sound_certificate(
+    sparse: &[Vec<(usize, f64)>],
     region: &ConfidenceRegion,
     matrix: &ConeMatrix,
     tableau: &Tableau,
-    dim: usize,
 ) -> Option<Vec<f64>> {
-    fold_certificate_from(region, matrix, tableau.farkas_multipliers()?, dim)
+    fold_certificate_from(region, matrix, tableau.farkas_multipliers()?)
+        .filter(|c| certificate_is_sound(sparse, c))
 }
 
-/// [`fold_certificate`] from bare multipliers in interleaved row order — the
+/// The folding arithmetic of [`sound_certificate`], from bare multipliers in interleaved row order — the
 /// shared folding arithmetic behind both the tier-2 tableau and the tier-1
 /// factorized solver.
 fn fold_certificate_from(
     region: &ConfidenceRegion,
     matrix: &ConeMatrix,
     pi: &[f64],
-    dim: usize,
 ) -> Option<Vec<f64>> {
-    let mut direction = vec![0.0; dim];
+    let mut direction = vec![0.0; region.dimension()];
     for (k, axis) in region.axes().iter().enumerate() {
         let weight = (pi[2 * k + 1] - pi[2 * k]) / matrix.bound_divs[k];
         if weight != 0.0 {
@@ -1037,10 +984,7 @@ fn fold_certificate_from(
             }
         }
     }
-    let norm = direction.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-    if !norm.is_finite() || norm <= 0.0 {
-        return None;
-    }
+    let norm = ray_norm(&direction)?;
     for v in &mut direction {
         *v /= norm;
     }
@@ -1107,16 +1051,8 @@ fn exact_projection_is_sound(g: &[(usize, f64)], direction: &[f64]) -> Option<bo
 /// Exactly recomputes the flow combination `Σ fⱼ·gⱼ` over [`Rational`]s and
 /// checks the float accumulation against it componentwise (within `1e-9` of
 /// the combination's magnitude): the margin-triggered recertification of a
-/// near-threshold witness harvest.  `false` on rational overflow — the caller
+/// near-threshold witness harvest.  `None` on rational overflow — the caller
 /// drops the ray rather than trusting an unverifiable one.
-fn combination_recertifies(
-    sparse: &[Vec<(usize, f64)>],
-    flows: &[(usize, f64)],
-    raw: &[f64],
-) -> bool {
-    exact_combination_matches(sparse, flows, raw).unwrap_or(false)
-}
-
 fn exact_combination_matches(
     sparse: &[Vec<(usize, f64)>],
     flows: &[(usize, f64)],
@@ -1319,6 +1255,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feasibility::FeasibilityChecker;
     use counterpoint_mudd::{dsl::compile_uop, CounterSignature, CounterSpace};
 
     fn space() -> CounterSpace {
@@ -1449,6 +1386,43 @@ mod tests {
                 obs.name()
             );
         }
+    }
+
+    #[test]
+    fn cold_solve_non_convergence_is_inconclusive() {
+        // The terminal path of every solve chain: a cold solve that runs out
+        // of iterations yields no certificate, so it is Inconclusive (never
+        // Refuted) and the bool entry points count it as not refuted.  Capping
+        // the tableau at zero iterations forces it on an instance that needs
+        // at least one pivot.
+        let cone = fig6a_cone();
+        let obs = Observation::exact("b", &[4.0, 10.0]);
+        let region = obs.region();
+        let mut cold = ColdSolve::new(
+            &cone.generators_f64().sparse,
+            region,
+            observation_scale(region),
+        );
+        cold.tableau.set_max_iterations(0);
+        let recording = telemetry::Recording::start();
+        let verdict = cold.solve();
+        let report = recording.finish();
+        let FeasibilityVerdict::Inconclusive { reason } = &verdict else {
+            panic!("a capped cold solve must be inconclusive, got {verdict:?}");
+        };
+        assert!(!reason.is_empty(), "an inconclusive verdict says why");
+        assert!(report.counter(telemetry::Metric::LpInconclusiveVerdicts) >= 1);
+        assert!(
+            not_refuted(&verdict),
+            "is_feasible maps inconclusive to true"
+        );
+        // Uncapped, the same solve refutes the observation.
+        let mut cold = ColdSolve::new(
+            &cone.generators_f64().sparse,
+            region,
+            observation_scale(region),
+        );
+        assert!(cold.solve().is_refuted());
     }
 
     #[test]

@@ -45,89 +45,14 @@ impl ExplorationModel {
     }
 }
 
-/// The result of evaluating one model against a dataset of observations
-/// (one row of the paper's Tables 3, 5 and 7).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ModelEvaluation {
-    /// Model name.
-    pub name: String,
-    /// Features included in the model.
-    pub features: Vec<String>,
-    /// Number of observations whose confidence region does not intersect the model
-    /// cone.
-    pub infeasible_count: usize,
-    /// Names of the infeasible observations.
-    pub infeasible_observations: Vec<String>,
-    /// Total number of observations evaluated.
-    pub total_observations: usize,
-    /// `true` when every observation is feasible.
-    pub feasible: bool,
-}
-
-/// Evaluates every model against every observation (single-threaded).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `counterpoint_session::Inquiry` (re-exported from the `counterpoint` facade), \
-            which returns certificate-carrying verdicts instead of bare counts"
-)]
-pub fn evaluate_models(
-    models: &[ExplorationModel],
-    observations: &[Observation],
-) -> Vec<ModelEvaluation> {
-    #[allow(deprecated)]
-    evaluate_models_with_threads(models, observations, 1)
-}
-
-/// Evaluates every model against every observation, fanning the model family
-/// across `threads` worker threads (`0` = available parallelism) through the
-/// batched feasibility engine.
-///
-/// Each model's observation sweep runs warm-started on a single worker, so the
-/// evaluations are identical for every thread count and are returned in model
-/// order.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `counterpoint_session::Inquiry` (re-exported from the `counterpoint` facade), \
-            which returns certificate-carrying verdicts instead of bare counts"
-)]
-pub fn evaluate_models_with_threads(
-    models: &[ExplorationModel],
-    observations: &[Observation],
-    threads: usize,
-) -> Vec<ModelEvaluation> {
-    let cones: Vec<&ModelCone> = models.iter().map(|m| &m.cone).collect();
-    let verdicts = crate::batch::check_models(&cones, observations, threads);
-    models
-        .iter()
-        .zip(verdicts)
-        .map(|(model, feasible)| {
-            let infeasible: Vec<String> = observations
-                .iter()
-                .zip(&feasible)
-                .filter(|(_, ok)| !**ok)
-                .map(|(o, _)| o.name().to_string())
-                .collect();
-            ModelEvaluation {
-                name: model.name.clone(),
-                features: model.features.iter().cloned().collect(),
-                infeasible_count: infeasible.len(),
-                feasible: infeasible.is_empty(),
-                infeasible_observations: infeasible,
-                total_observations: observations.len(),
-            }
-        })
-        .collect()
-}
-
 /// Intersects a sequence of feasible models' feature sets: the features present
 /// in *every* one of them, sorted, or `None` when the sequence is empty.
 ///
 /// If the workload suite exercises the hardware broadly enough, these features
 /// must be present in the real microarchitecture (paper, Figure 7's argument
 /// for feature `F_Y`).  This is the one implementation behind
-/// [`SearchGraph::essential_features`], the deprecated free
-/// [`essential_features`] and the session layer's report field — they must
-/// never drift apart.
+/// [`SearchGraph::essential_features`] and the session layer's report field —
+/// they must never drift apart.
 pub fn essential_feature_intersection<'a, I, J>(feasible: I) -> Option<Vec<String>>
 where
     I: IntoIterator<Item = J>,
@@ -140,22 +65,6 @@ where
         essential.retain(|f| current.contains(f));
     }
     Some(essential.into_iter().collect())
-}
-
-/// Features that appear in *every* feasible model of an evaluation set.
-/// Returns `None` when no model is feasible.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SearchGraph::essential_features` for search results, or \
-            `essential_feature_intersection` for a bare list of feature sets"
-)]
-pub fn essential_features(evaluations: &[ModelEvaluation]) -> Option<Vec<String>> {
-    essential_feature_intersection(
-        evaluations
-            .iter()
-            .filter(|e| e.feasible)
-            .map(|e| &e.features),
-    )
 }
 
 /// Which phase of the guided search produced a step.
@@ -229,51 +138,6 @@ impl SearchGraph {
     }
 }
 
-/// Automated discovery/elimination search over a feature lattice.
-///
-/// `G` maps a feature set to the corresponding model cone — in the Haswell case
-/// study this is the model-family generator from `counterpoint-models`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LatticeSearch`, the certificate-pruned engine this type now \
-            delegates to (it adds parallel evaluation and cross-model \
-            certificate reuse while producing the identical `SearchGraph`)"
-)]
-pub struct GuidedSearch<G>
-where
-    G: Fn(&FeatureSet) -> ModelCone,
-{
-    inner: crate::lattice::LatticeSearch<G>,
-}
-
-#[allow(deprecated)] // the shim implements the deprecated type it replaces
-impl<G> GuidedSearch<G>
-where
-    G: Fn(&FeatureSet) -> ModelCone,
-{
-    /// Creates a search over the given feature universe.
-    pub fn new<S: AsRef<str>>(generator: G, all_features: &[S]) -> GuidedSearch<G> {
-        GuidedSearch {
-            inner: crate::lattice::LatticeSearch::new(generator, all_features),
-        }
-    }
-
-    /// Caps the number of models the search may evaluate (default 256).
-    pub fn set_max_models(&mut self, limit: usize) {
-        self.inner.set_max_models(limit);
-    }
-
-    /// Runs the two-phase search from an initial feature set.
-    ///
-    /// A thin shim: the work happens in
-    /// [`LatticeSearch`](crate::lattice::LatticeSearch) (single-threaded, so
-    /// no `Sync` bound is required of the generator), which produces the
-    /// identical [`SearchGraph`].
-    pub fn run(&self, initial: &FeatureSet, observations: &[Observation]) -> SearchGraph {
-        self.inner.run_sequential(initial, observations)
-    }
-}
-
 /// The original cold-start sequential search, kept verbatim as the
 /// executable specification of the search semantics: every candidate model is
 /// re-solved from scratch through [`FeasibilityChecker`], with no caches, no
@@ -282,8 +146,8 @@ where
 /// [`LatticeSearch`](crate::lattice::LatticeSearch) must produce a
 /// [`SearchGraph`] equal to this function's output on every input — the
 /// differential test suite (`tests/search_equivalence.rs`) and the
-/// `lattice_search` benchmark baseline both call it.  It is *not* deprecated:
-/// it is the oracle, not an API to migrate away from.
+/// `lattice_search` benchmark baseline both call it.  It is the oracle, not a
+/// production path.
 pub fn reference_search<G, S>(
     generator: &G,
     all_features: &[S],
@@ -388,8 +252,8 @@ where
     }
 }
 
-/// The elimination recursion of [`reference_search`] (the original
-/// `GuidedSearch::eliminate`, verbatim).
+/// The elimination recursion of [`reference_search`] (the original search's,
+/// verbatim).
 #[allow(clippy::too_many_arguments)]
 fn reference_eliminate<C>(
     count_infeasible: &C,
@@ -452,9 +316,10 @@ fn reference_eliminate<C>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated shims stay under test until they are removed
 mod tests {
     use super::*;
+    use crate::batch::check_models;
+    use crate::lattice::LatticeSearch;
     use counterpoint_mudd::{CounterSignature, CounterSpace};
 
     /// A toy feature lattice over two counters (x, y):
@@ -481,66 +346,41 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn evaluate_models_counts_infeasible_observations() {
-        let models = vec![
-            ExplorationModel::new(
-                "base",
-                feature_set::<&str>(&[]),
-                toy_cone(&feature_set::<&str>(&[])),
-            ),
-            ExplorationModel::new(
-                "with-fy",
-                feature_set(&["Fy"]),
-                toy_cone(&feature_set(&["Fy"])),
-            ),
-        ];
-        let evals = evaluate_models(&models, &observations());
-        assert_eq!(evals[0].infeasible_count, 1);
-        assert!(!evals[0].feasible);
-        assert_eq!(
-            evals[0].infeasible_observations,
-            vec!["balanced".to_string()]
-        );
-        assert_eq!(evals[1].infeasible_count, 0);
-        assert!(evals[1].feasible);
-        assert_eq!(evals[1].total_observations, 2);
+    /// The essential features of the toy models (by feature set) that every
+    /// observation is feasible for.
+    fn essential_of(sets: &[FeatureSet], observations: &[Observation]) -> Option<Vec<String>> {
+        let cones: Vec<ModelCone> = sets.iter().map(toy_cone).collect();
+        let refs: Vec<&ModelCone> = cones.iter().collect();
+        let verdicts = check_models(&refs, observations, 1);
+        essential_feature_intersection(
+            sets.iter()
+                .zip(&verdicts)
+                .filter(|(_, row)| row.iter().all(|&feasible| feasible))
+                .map(|(set, _)| set),
+        )
     }
 
     #[test]
     fn essential_features_intersects_feasible_models() {
-        let models = vec![
-            ExplorationModel::new("a", feature_set(&["Fy"]), toy_cone(&feature_set(&["Fy"]))),
-            ExplorationModel::new(
-                "b",
-                feature_set(&["Fy", "Fboth"]),
-                toy_cone(&feature_set(&["Fy", "Fboth"])),
-            ),
-            ExplorationModel::new(
-                "c",
-                feature_set::<&str>(&[]),
-                toy_cone(&feature_set::<&str>(&[])),
-            ),
+        let sets = [
+            feature_set(&["Fy"]),
+            feature_set(&["Fy", "Fboth"]),
+            feature_set::<&str>(&[]),
         ];
-        let evals = evaluate_models(&models, &observations());
-        let essential = essential_features(&evals).unwrap();
+        let essential = essential_of(&sets, &observations()).unwrap();
         assert_eq!(essential, vec!["Fy".to_string()]);
     }
 
     #[test]
     fn essential_features_none_when_nothing_is_feasible() {
-        let models = vec![ExplorationModel::new(
-            "base",
-            feature_set::<&str>(&[]),
-            toy_cone(&feature_set::<&str>(&[])),
-        )];
-        let evals = evaluate_models(&models, &[Observation::exact("bad", &[1.0, 5.0])]);
-        assert!(essential_features(&evals).is_none());
+        let sets = [feature_set::<&str>(&[])];
+        let observations = [Observation::exact("bad", &[1.0, 5.0])];
+        assert!(essential_of(&sets, &observations).is_none());
     }
 
     #[test]
     fn guided_search_discovers_and_minimises() {
-        let search = GuidedSearch::new(toy_cone, &["Fy", "Fboth"]);
+        let search = LatticeSearch::new(toy_cone, &["Fy", "Fboth"]);
         let graph = search.run(&feature_set::<&str>(&[]), &observations());
 
         // The initial (empty) model is infeasible; discovery must add a feature.
@@ -561,7 +401,7 @@ mod tests {
 
     #[test]
     fn guided_search_on_already_feasible_model_goes_straight_to_elimination() {
-        let search = GuidedSearch::new(toy_cone, &["Fy", "Fboth"]);
+        let search = LatticeSearch::new(toy_cone, &["Fy", "Fboth"]);
         let graph = search.run(&feature_set(&["Fy", "Fboth"]), &observations());
         assert!(graph.steps[0].feasible);
         assert!(graph
@@ -577,7 +417,7 @@ mod tests {
 
     #[test]
     fn search_graph_essential_features() {
-        let search = GuidedSearch::new(toy_cone, &["Fy", "Fboth"]);
+        let search = LatticeSearch::new(toy_cone, &["Fy", "Fboth"]);
         let graph = search.run(&feature_set::<&str>(&[]), &observations());
         // Both Fy-only and Fboth-only models are feasible, so no feature is
         // essential across all feasible models.
@@ -588,7 +428,7 @@ mod tests {
 
     #[test]
     fn search_respects_model_budget() {
-        let mut search = GuidedSearch::new(toy_cone, &["Fy", "Fboth"]);
+        let mut search = LatticeSearch::new(toy_cone, &["Fy", "Fboth"]);
         search.set_max_models(1);
         let graph = search.run(&feature_set::<&str>(&[]), &observations());
         assert_eq!(graph.steps.len(), 1);

@@ -1,11 +1,10 @@
 //! Feasibility testing: does an observation's confidence region intersect the model
 //! cone?
 
+use crate::batch::{not_refuted, ColdSolve};
 use crate::cone::ModelCone;
 use crate::constraints::{ConstraintSet, NamedConstraint};
 use crate::observation::Observation;
-use counterpoint_lp::{LinearProgram, Relation, Tableau};
-use counterpoint_telemetry as telemetry;
 use serde::Serialize;
 
 /// The result of testing one observation against one model.
@@ -29,12 +28,17 @@ pub struct FeasibilityReport {
 /// and, for every principal axis of the observation's confidence region, a pair of
 /// constraints bounding the projection of the counter-flow combination onto that
 /// axis by the region's extent.  The observation is feasible iff the LP is.
+///
+/// Every call is one cold dual-simplex solve, the same one the batched engine
+/// falls back to, so the two agree verdict for verdict.  Use
+/// [`BatchFeasibility`](crate::batch::BatchFeasibility) to test many
+/// observations against one cone.
 #[derive(Clone, Debug)]
 pub struct FeasibilityChecker<'a> {
     cone: &'a ModelCone,
-    /// Generators as `f64` vectors (column `p` of the counter-flow matrix),
-    /// borrowed from the cone's memoized conversion.
-    generators: &'a [Vec<f64>],
+    /// Non-zero generator entries in index order (column `p` of the
+    /// counter-flow matrix), borrowed from the cone's memoized conversion.
+    sparse: &'a [Vec<(usize, f64)>],
 }
 
 /// Coefficient magnitudes beyond this guard trigger rescaling of the LP rows.
@@ -54,7 +58,8 @@ const MAGNITUDE_GUARD: f64 = 1e6;
 /// (`scale` being the per-observation magnitude normaliser).  [`BatchFeasibility`]
 /// computes this matrix once per (cone, axes) pair and reuses it across every
 /// observation sharing those axes; [`FeasibilityChecker::is_feasible`] builds
-/// it per call, which keeps both paths on byte-identical arithmetic.
+/// it per call with the same builder, which keeps both paths on byte-identical
+/// arithmetic.
 ///
 /// [`BatchFeasibility`]: crate::batch::BatchFeasibility
 #[derive(Clone, Debug)]
@@ -76,28 +81,13 @@ impl ConeMatrix {
         }
     }
 
-    /// Computes the coefficient matrix `A[k][p] = axis_k · generator_p`, then
-    /// equilibrates: a global coefficient scale `c` (largest magnitude, applied
-    /// only beyond [`MAGNITUDE_GUARD`]) followed by per-row normalisation for
-    /// rows whose magnitude still deviates from O(1) by more than the guard.
-    pub(crate) fn build(axes: &[Vec<f64>], generators: &[Vec<f64>]) -> ConeMatrix {
-        let mut matrix = ConeMatrix {
-            rows: axes
-                .iter()
-                .map(|axis| generators.iter().map(|g| dot(axis, g)).collect())
-                .collect(),
-            bound_divs: Vec::new(),
-        };
-        matrix.equilibrate();
-        matrix
-    }
-
-    /// Like [`build`](ConeMatrix::build), but from the sparse generator form
-    /// (only the non-zero entries of each generator, in index order) and
-    /// reusing `self`'s allocations.  Skipping a generator's zero entries adds
-    /// only exact `±0.0` terms to each dot product, so the resulting matrix is
-    /// bit-identical to the dense build — the batched engine relies on that to
-    /// agree with [`FeasibilityChecker::is_feasible`] verdict for verdict.
+    /// Computes the coefficient matrix `A[k][p] = axis_k · generator_p` from
+    /// the sparse generator form (only the non-zero entries of each
+    /// generator, in index order), reusing `self`'s allocations, then
+    /// equilibrates: a global coefficient scale `c` (largest magnitude,
+    /// applied only beyond [`MAGNITUDE_GUARD`]) followed by per-row
+    /// normalisation for rows whose magnitude still deviates from O(1) by
+    /// more than the guard.
     pub(crate) fn build_sparse_into(&mut self, axes: &[Vec<f64>], sparse: &[Vec<(usize, f64)>]) {
         self.rows.resize_with(axes.len(), Vec::new);
         for (row, axis) in self.rows.iter_mut().zip(axes) {
@@ -111,9 +101,8 @@ impl ConeMatrix {
         self.equilibrate();
     }
 
-    /// The magnitude-guard pass shared by both builders (see [`build`]).
-    ///
-    /// [`build`]: ConeMatrix::build
+    /// The magnitude-guard pass of
+    /// [`build_sparse_into`](ConeMatrix::build_sparse_into).
     fn equilibrate(&mut self) {
         let cmax = self
             .rows
@@ -195,7 +184,7 @@ impl<'a> FeasibilityChecker<'a> {
     pub fn new(cone: &'a ModelCone) -> FeasibilityChecker<'a> {
         FeasibilityChecker {
             cone,
-            generators: &cone.generators_f64().dense,
+            sparse: &cone.generators_f64().sparse,
         }
     }
 
@@ -204,13 +193,12 @@ impl<'a> FeasibilityChecker<'a> {
         self.cone
     }
 
-    /// The cone's generators as `f64` vectors (shared with the batched engine).
-    pub(crate) fn generators(&self) -> &[Vec<f64>] {
-        self.generators
-    }
-
     /// Returns `true` if the observation's confidence region intersects the model
     /// cone.
+    ///
+    /// LP non-convergence does not panic: the observation counts as not
+    /// refuted (`true`), exactly as in
+    /// [`BatchFeasibility::is_feasible`](crate::batch::BatchFeasibility::is_feasible).
     ///
     /// # Panics
     ///
@@ -224,49 +212,12 @@ impl<'a> FeasibilityChecker<'a> {
         let region = observation.region();
 
         // Degenerate cone: only the origin is producible.
-        if self.generators.is_empty() {
+        if self.sparse.is_empty() {
             return region.contains(&vec![0.0; self.cone.dimension()]);
         }
 
-        let matrix = ConeMatrix::build(region.axes(), self.generators);
-        let scale = observation_scale(region);
-        let num_flows = self.generators.len();
-        let mut lo = Vec::with_capacity(matrix.rows.len());
-        let mut hi = Vec::with_capacity(matrix.rows.len());
-        for k in 0..matrix.rows.len() {
-            let (l, h) = row_bounds(region, &matrix, k, scale);
-            lo.push(l);
-            hi.push(h);
-        }
-
-        // A cold dual-simplex solve on the band tableau — the same algorithm
-        // the batched engine warm-starts, so the two paths agree by
-        // construction.  (The historical two-phase primal remains as the
-        // fallback; its ratio test tolerates near-zero pivots and can corrupt
-        // the phase-1 optimum on ill-conditioned instances, which the dual's
-        // largest-magnitude pivot selection avoids.)
-        let mut tableau = Tableau::band(num_flows, &matrix.rows);
-        match tableau.resolve(&lo, &hi) {
-            Ok(feasible) => feasible,
-            Err(_) => {
-                let mut lp = LinearProgram::new(num_flows);
-                for (k, row) in matrix.rows.iter().enumerate() {
-                    lp.add_constraint(row, Relation::Ge, lo[k]);
-                    lp.add_constraint(row, Relation::Le, hi[k]);
-                }
-                match lp.try_solve() {
-                    Ok(outcome) => outcome.is_feasible(),
-                    // Every solve path cycled out of its iteration budget.  A
-                    // refutation needs a certificate and none exists, so the
-                    // observation deterministically counts as not refuted —
-                    // one degenerate enumerated cone must not abort a sweep.
-                    Err(_) => {
-                        telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
-                        true
-                    }
-                }
-            }
-        }
+        let verdict = ColdSolve::new(self.sparse, region, observation_scale(region)).solve();
+        not_refuted(&verdict)
     }
 
     /// Tests the observation and, when it is infeasible and a constraint set is

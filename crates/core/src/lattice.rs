@@ -1,13 +1,13 @@
 //! `LatticeSearch`: the parallel, certificate-pruned refinement engine behind
 //! the paper's expert-guided search (Sections 5–6, Figures 8 and 10).
 //!
-//! The legacy `GuidedSearch` walked the feature lattice with one cold
-//! [`FeasibilityChecker`](crate::FeasibilityChecker) solve per (candidate
-//! model, observation) pair.  This engine keeps the *search semantics*
-//! identical — the [`SearchGraph`] it emits is equal, node for node and edge
-//! for edge, to the sequential reference
-//! ([`reference_search`](crate::explore::reference_search)) — while changing
-//! how every infeasible-observation count is obtained:
+//! The sequential reference
+//! ([`reference_search`](crate::explore::reference_search)) walks the feature
+//! lattice with one cold [`FeasibilityChecker`](crate::FeasibilityChecker)
+//! solve per (candidate model, observation) pair.  This engine keeps the
+//! *search semantics* identical — the [`SearchGraph`] it emits is equal, node
+//! for node and edge for edge, to the reference's — while changing how every
+//! infeasible-observation count is obtained:
 //!
 //! * **Batched, warm-started solves.**  Each candidate model sweeps the
 //!   observation set through one [`BatchFeasibility`] engine, so the
@@ -106,9 +106,9 @@ pub struct LatticeStats {
     pub witness_settled: usize,
     /// Observations that reached the batched LP engine.
     pub lp_tested: usize,
-    /// Observations on which the warm engine failed to converge on every
-    /// path and the verdict came from the cold reference solver instead
-    /// (normally zero).
+    /// Observations no solve could decide (the warm solve and its cold
+    /// restart both failed to converge), counted as not refuted (normally
+    /// zero).
     pub inconclusive: usize,
     /// Child models whose first solve was seeded with a parent basis.
     pub warm_basis_handoffs: usize,
@@ -417,21 +417,6 @@ where
         self.threads = threads;
     }
 
-    /// The single-threaded entry point behind the deprecated `GuidedSearch`
-    /// shim: no `Sync` bound on the generator, same graph as [`run`].
-    ///
-    /// [`run`]: LatticeSearch::run
-    pub(crate) fn run_sequential(
-        &self,
-        initial: &FeatureSet,
-        observations: &[Observation],
-    ) -> SearchGraph {
-        let mut evaluator = Evaluator::new(&self.generator, observations, self.shared.as_ref());
-        self.drive(initial, &mut |sets, parent| {
-            evaluator.counts_seq(sets, parent)
-        })
-    }
-
     /// The shared driver: the exact sequential discovery/elimination
     /// recursion, with every infeasible count obtained through `eval` (which
     /// memoises and may batch candidates across workers).
@@ -632,8 +617,9 @@ where
     }
 }
 
-/// The memoising batch evaluator shared by the sequential and parallel entry
-/// points: one infeasible count per feature set, computed at most once.
+/// The memoising batch evaluator behind
+/// [`run_with_stats`](LatticeSearch::run_with_stats): one infeasible count per
+/// feature set, computed at most once.
 struct Evaluator<'a, G> {
     generator: &'a G,
     observations: &'a [Observation],
@@ -684,7 +670,7 @@ where
         }
     }
 
-    /// Evaluates a batch inline, without spawning workers (no `Sync` bound).
+    /// Evaluates a batch inline, without spawning workers.
     fn counts_seq(&mut self, sets: &[FeatureSet], parent: Option<&FeatureSet>) -> Vec<usize> {
         let parent_handoff = self.parent_handoff(parent);
         let mut counts = Vec::with_capacity(sets.len());
@@ -890,7 +876,8 @@ where
 {
     let cone = generator(features);
     let mut engine = BatchFeasibility::new(&cone);
-    let generator_keys: BTreeSet<Vec<u64>> = engine_generators(&engine)
+    let generator_keys: BTreeSet<Vec<u64>> = engine
+        .generator_vectors()
         .iter()
         .map(|g| generator_bits(g))
         .collect();
@@ -940,7 +927,7 @@ where
 
     let mut got_warm_basis = false;
     if let Some(parent) = parent {
-        if let Some(mapped) = map_basis(parent, engine_generators(&engine)) {
+        if let Some(mapped) = map_basis(parent, engine.generator_vectors()) {
             engine.set_warm_basis(parent.axes.clone(), mapped);
             got_warm_basis = true;
         }
@@ -980,20 +967,13 @@ where
                 }
             }
             FeasibilityVerdict::Refuted { .. } => infeasible += 1,
-            // The warm engine ran out of iterations on every path.  Fall back
-            // to the cold reference solver so the count stays a pure function
-            // of the feature set (whether an observation ever *reaches* the
-            // LP depends on timing-sensitive pool contents, so a pool-state-
-            // dependent verdict here would break graph determinism).  On the
-            // truly pathological instance the reference solver resolves
-            // not-refuted deterministically, so one degenerate cone cannot
-            // abort a sweep.
-            FeasibilityVerdict::Inconclusive { .. } => {
-                inconclusive += 1;
-                if !crate::feasibility::FeasibilityChecker::new(&cone).is_feasible(observation) {
-                    infeasible += 1;
-                }
-            }
+            // The warm solve and its cold restart both ran out of iterations.
+            // The restart is built only from the cone and the observation, so
+            // this outcome does not depend on the timing-sensitive pool
+            // contents that decide whether an observation ever reaches the
+            // LP, and counting it as not refuted (no certificate exists)
+            // keeps the count a pure function of the feature set.
+            FeasibilityVerdict::Inconclusive { .. } => inconclusive += 1,
         }
     }
 
@@ -1051,7 +1031,7 @@ where
         .map(|(ray, support)| (ray.clone(), support.clone()))
         .collect();
     if !new_cached_rays.is_empty() || !self_rays.is_empty() {
-        let generators = engine_generators(&engine);
+        let generators = engine.generator_vectors();
         let key_of = |support: &[usize]| -> Vec<Vec<u64>> {
             support
                 .iter()
@@ -1126,7 +1106,7 @@ where
     }
 
     let handoff = engine.basis_handoff().map(|(axes, basis)| Handoff {
-        generators: engine_generators(&engine).to_vec(),
+        generators: engine.generator_vectors().to_vec(),
         axes,
         basis,
     });
@@ -1140,11 +1120,6 @@ where
         handoff,
         got_warm_basis,
     }
-}
-
-/// The engine's generator columns (dense), shared with [`map_basis`].
-fn engine_generators<'e>(engine: &'e BatchFeasibility<'_>) -> &'e [Vec<f64>] {
-    engine.generator_vectors()
 }
 
 /// Re-indexes a parent basis onto a child engine's columns: structural
@@ -1229,7 +1204,6 @@ mod tests {
             let expected = reference_search(&toy_cone, &universe, 256, &initial, &observations);
             let search = LatticeSearch::new(toy_cone, &universe);
             assert_eq!(search.run(&initial, &observations), expected);
-            assert_eq!(search.run_sequential(&initial, &observations), expected);
         }
     }
 

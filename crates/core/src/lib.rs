@@ -60,11 +60,7 @@ pub use cone::ModelCone;
 pub use constraints::{deduce_constraints, ConstraintSet, NamedConstraint};
 pub use explore::{
     essential_feature_intersection, feature_set, reference_search, ExplorationModel, FeatureSet,
-    ModelEvaluation, SearchEdge, SearchGraph, SearchStep,
-};
-#[allow(deprecated)] // re-exported so downstream migrations stay source-compatible
-pub use explore::{
-    essential_features, evaluate_models, evaluate_models_with_threads, GuidedSearch,
+    SearchEdge, SearchGraph, SearchStep,
 };
 pub use feasibility::{FeasibilityChecker, FeasibilityReport};
 pub use lattice::{CertificatePool, LatticeSearch, LatticeStats, PrunedModel};

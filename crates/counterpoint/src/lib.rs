@@ -75,11 +75,7 @@ pub use counterpoint_core::{
     check_models, check_models_verdicts, deduce_constraints, essential_feature_intersection,
     feature_set, reference_search, BatchFeasibility, ConstraintSet, ExplorationModel,
     FeasibilityChecker, FeasibilityReport, FeasibilityVerdict, FeatureSet, LatticeSearch,
-    LatticeStats, ModelCone, ModelEvaluation, Observation, SearchGraph,
-};
-#[allow(deprecated)] // re-exported so downstream migrations stay source-compatible
-pub use counterpoint_core::{
-    essential_features, evaluate_models, evaluate_models_with_threads, GuidedSearch,
+    LatticeStats, ModelCone, Observation, SearchGraph,
 };
 pub use counterpoint_mudd::dsl::compile_uop;
 pub use counterpoint_mudd::{CounterSignature, CounterSpace, MuDd, MuDdBuilder};

@@ -402,7 +402,9 @@ impl Tableau {
     /// # Errors
     ///
     /// Returns [`LpError::IterationLimit`] if the dual simplex fails to
-    /// converge; callers should fall back to a cold [`LinearProgram`] solve.
+    /// converge.  A warm-started caller can retry once on a fresh tableau
+    /// (all-slack basis); past that, no verdict exists and the caller should
+    /// report the instance as undecided rather than guess.
     ///
     /// # Panics
     ///

@@ -20,6 +20,7 @@ use counterpoint_core::Observation;
 use counterpoint_haswell::mem::PageSize;
 use counterpoint_haswell::mmu::MmuConfig;
 use counterpoint_haswell::pmu::PmuConfig;
+use counterpoint_telemetry as telemetry;
 use counterpoint_workloads::standard_suite;
 use std::sync::Arc;
 
@@ -106,17 +107,6 @@ pub fn case_study_campaign(config: &HarnessConfig) -> Campaign {
     campaign
 }
 
-/// Runs the standard workload suite across the configured page sizes and returns
-/// one observation per (workload, page size) pair.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `counterpoint_session::Inquiry::harness` (one builder call wires collection, \
-            feasibility and reporting together) or drive `case_study_campaign` directly"
-)]
-pub fn collect_case_study_observations(config: &HarnessConfig) -> Vec<Observation> {
-    case_study_campaign(config).run_sim(&config.mmu, &config.pmu)
-}
-
 /// Runs a single access trace and returns its observation (used by the figure
 /// binaries that need specific microbenchmark instances rather than the whole
 /// suite).
@@ -126,6 +116,7 @@ pub fn observe_trace(
     page_size: PageSize,
     config: &HarnessConfig,
 ) -> Observation {
+    let _span = telemetry::span("observe_trace", name);
     let mut backend = sim_backend(config);
     let schedule = backend
         .schedule()
@@ -143,7 +134,6 @@ pub fn observe_trace(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated shim stays under test until it is removed
 mod tests {
     use super::*;
     use crate::family::{build_feature_model, feature_sets_table3};
@@ -163,7 +153,7 @@ mod tests {
             intervals: 8,
             ..HarnessConfig::default()
         };
-        let rewired = collect_case_study_observations(&config);
+        let rewired = case_study_campaign(&config).run_sim(&config.mmu, &config.pmu);
 
         let space = full_counter_space();
         let pmu = MultiplexingPmu::new(config.pmu.clone());
@@ -205,7 +195,7 @@ mod tests {
     fn quick_harness_produces_labelled_observations() {
         let mut config = HarnessConfig::quick();
         config.accesses_per_workload = 5_000;
-        let observations = collect_case_study_observations(&config);
+        let observations = case_study_campaign(&config).run_sim(&config.mmu, &config.pmu);
         assert!(observations.len() >= 15);
         assert_eq!(observations[0].dimension(), 26);
         assert!(observations[0].name().contains("@4k"));
@@ -240,7 +230,7 @@ mod tests {
         // observation, while the featureless model m0 must be refuted by many.
         let mut config = HarnessConfig::quick();
         config.accesses_per_workload = 20_000;
-        let observations = collect_case_study_observations(&config);
+        let observations = case_study_campaign(&config).run_sim(&config.mmu, &config.pmu);
 
         let specs = feature_sets_table3();
         let m4 = build_feature_model("m4", &specs.iter().find(|(n, _)| n == "m4").unwrap().1);

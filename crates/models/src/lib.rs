@@ -48,7 +48,5 @@ pub use family::{
     feature_sets_table3, trigger_specs_table5,
 };
 pub use features::Feature;
-#[allow(deprecated)] // re-exported so downstream migrations stay source-compatible
-pub use harness::collect_case_study_observations;
 pub use harness::HarnessConfig;
 pub use prefetch::TriggerSpec;

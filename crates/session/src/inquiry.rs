@@ -406,8 +406,17 @@ impl Inquiry {
             }
         }
         // Expand the model grammar (pure in its inputs) and validate the
-        // enumerated lattices against the observations the same way.
-        let family = enumeration.map(|(grammar, options)| enumo::enumerate(&grammar, &options));
+        // enumerated lattices against the observations the same way.  The
+        // expansion runs before evaluation but is timed as enumerate-stage
+        // work, in its own `enumerate` stage span.
+        let expand_stage = enumeration
+            .is_some()
+            .then(|| telemetry::stage_span("enumerate"));
+        let family = enumeration.map(|(grammar, options)| {
+            let _span = telemetry::span("enumerate_expand", "");
+            enumo::enumerate(&grammar, &options)
+        });
+        let expand_ms = expand_stage.map_or(0.0, telemetry::StageSpan::finish_ms);
         let initial_enumeration_cone = family
             .as_ref()
             .and_then(|f| f.groups.first())
@@ -555,7 +564,7 @@ impl Inquiry {
                 cross_family_witness_hits: cross_witnesses,
             }
         });
-        let enumerate_ms = enumerate_stage.finish_ms();
+        let enumerate_ms = expand_ms + enumerate_stage.finish_ms();
 
         // Close the root span before finishing so its 'E' event makes the
         // snapshot, then detach the recording (if this run owned one).
@@ -840,6 +849,52 @@ mod tests {
                 "threads = {threads}"
             );
         }
+    }
+
+    #[test]
+    fn grammar_expansion_falls_inside_an_enumerate_stage_span() {
+        use counterpoint_haswell::full_counter_space;
+        use counterpoint_models::aborts::AbortPoint;
+        use counterpoint_models::enumo::{EnumOptions, ModelGrammar};
+        use counterpoint_models::prefetch::TriggerSpec;
+        use counterpoint_models::Feature;
+
+        let space = full_counter_space();
+        let grammar = ModelGrammar::case_study()
+            .with_features(vec![Feature::TlbPrefetch])
+            .with_triggers(vec![("t0".to_string(), TriggerSpec::t0())])
+            .with_abort_points(vec![AbortPoint::DuringWalk]);
+        let options = EnumOptions {
+            max_models: 8,
+            ..EnumOptions::default()
+        };
+        let report = Inquiry::new()
+            .observations(vec![Observation::exact("origin", &vec![0.0; space.len()])])
+            .model_grammar(grammar, options)
+            .telemetry(true)
+            .run()
+            .unwrap();
+        let snapshot = report.telemetry.expect("this run owned the sink");
+        let expand = snapshot
+            .events
+            .iter()
+            .position(|e| e.name == "enumerate_expand" && e.phase == 'B')
+            .expect("the grammar expansion is spanned");
+        // Replay this thread's span stack up to the expansion (other tests in
+        // this binary may record on other threads meanwhile): the innermost
+        // open span must be an `enumerate` stage.
+        let tid = snapshot.events[expand].tid;
+        let mut open = Vec::new();
+        for event in snapshot.events[..expand].iter().filter(|e| e.tid == tid) {
+            match event.phase {
+                'B' => open.push(event.name),
+                _ => {
+                    open.pop();
+                }
+            }
+        }
+        assert_eq!(open.last(), Some(&"enumerate"), "open spans: {open:?}");
+        assert!(report.stages.enumerate_ms > 0.0);
     }
 
     #[test]

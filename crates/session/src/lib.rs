@@ -76,6 +76,6 @@ pub use error::SessionError;
 pub use inquiry::Inquiry;
 pub use report::{
     EnumeratedGroup, EnumerationSummary, ModelConstraints, ModelVerdicts, ObservationSummary,
-    Report, StageTimings, Timing, REPORT_FORMAT_VERSION,
+    Report, StageTimings, REPORT_FORMAT_VERSION,
 };
 pub use verdict::Verdict;

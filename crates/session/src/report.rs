@@ -126,21 +126,6 @@ pub struct StageTimings {
     pub total_ms: f64,
 }
 
-/// The legacy two-stage timing view, kept so existing callers of
-/// [`Report::timing`] keep compiling while they migrate to
-/// [`Report::stages`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Timing {
-    /// Milliseconds spent collecting (or replaying) observations.
-    pub collect_ms: f64,
-    /// Milliseconds spent on the verdict matrix, constraint deduction and the
-    /// refinement search (the refinement stage folded in, as before the
-    /// per-stage split).
-    pub evaluate_ms: f64,
-    /// Total wall-clock milliseconds of the run.
-    pub total_ms: f64,
-}
-
 /// The full result of an inquiry run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Report {
@@ -179,16 +164,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// The legacy two-stage timing view of [`stages`](Report::stages).
-    #[deprecated(since = "0.1.0", note = "use `Report::stages` for per-stage timings")]
-    pub fn timing(&self) -> Timing {
-        Timing {
-            collect_ms: self.stages.collect_ms,
-            evaluate_ms: self.stages.evaluate_ms + self.stages.refine_ms + self.stages.enumerate_ms,
-            total_ms: self.stages.total_ms,
-        }
-    }
-
     /// Renders the report as pretty-printed JSON — the CI artifact format.
     /// Deterministic: identical inquiries produce identical bytes.
     pub fn to_json(&self) -> String {
@@ -320,19 +295,6 @@ mod tests {
             !json.contains("telemetry"),
             "telemetry must not leak into JSON"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_timing_shim_matches_the_stage_timings() {
-        let report = sample_report();
-        let legacy = report.timing();
-        assert_eq!(legacy.collect_ms, report.stages.collect_ms);
-        assert_eq!(
-            legacy.evaluate_ms,
-            report.stages.evaluate_ms + report.stages.refine_ms + report.stages.enumerate_ms
-        );
-        assert_eq!(legacy.total_ms, report.stages.total_ms);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! observations bit-for-bit — and match the pre-rewire harness output exactly.
 
 use counterpoint::models::family::{build_feature_model, feature_sets_table3};
-#[allow(deprecated)] // the deprecated harness shim must stay in lockstep until removed
-use counterpoint::models::harness::collect_case_study_observations;
 use counterpoint::models::harness::{case_study_campaign, HarnessConfig};
 use counterpoint::{
     CollectError, CounterSpace, ExplorationModel, Inquiry, Observation, ReplayBackend,
@@ -37,7 +35,6 @@ fn small_config() -> HarnessConfig {
 }
 
 #[test]
-#[allow(deprecated)] // the deprecated harness shim must stay in lockstep until removed
 fn recorded_campaign_replays_bit_identically() {
     let config = small_config();
     let campaign = case_study_campaign(&config);
@@ -46,8 +43,9 @@ fn recorded_campaign_replays_bit_identically() {
     let (live, trace) = campaign.run_sim_recorded(&config.mmu, &config.pmu);
     assert_eq!(trace.records.len(), campaign.cells().len());
 
-    // The default campaign path and the harness entry point agree exactly.
-    let harness = collect_case_study_observations(&config);
+    // Recording does not perturb the run: the plain campaign path agrees
+    // exactly.
+    let harness = campaign.run_sim(&config.mmu, &config.pmu);
     assert_observations_identical(&live, &harness);
 
     // JSON round trip: serialise, parse, replay. Floats round-trip bit-exactly,

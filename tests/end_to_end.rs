@@ -12,8 +12,7 @@ use counterpoint::models::harness::{case_study_campaign, HarnessConfig};
 use counterpoint::workloads::{LinearAccess, RandomAccess, Workload};
 use counterpoint::{FeasibilityChecker, NoiseModel, Observation};
 
-/// The case-study observation set for a config (the non-deprecated campaign
-/// path behind the old `collect_case_study_observations` shim).
+/// The case-study observation set for a config.
 fn collect(config: &HarnessConfig) -> Vec<Observation> {
     case_study_campaign(config).run_sim(&config.mmu, &config.pmu)
 }

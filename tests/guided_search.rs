@@ -87,15 +87,6 @@ fn guided_search_discovers_a_feasible_model_from_scratch() {
     );
     let graph = search.run(&FeatureSet::new(), &observations);
 
-    // The deprecated `GuidedSearch` shim delegates to the same engine and
-    // must return the identical graph.
-    #[allow(deprecated)]
-    let shim = counterpoint::GuidedSearch::new(
-        |features: &FeatureSet| build_feature_model("candidate", features),
-        &feature_names,
-    );
-    assert_eq!(shim.run(&FeatureSet::new(), &observations), graph);
-
     assert!(
         !graph.steps[0].feasible,
         "the empty model must start infeasible"

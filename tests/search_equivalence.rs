@@ -251,47 +251,3 @@ fn empty_observation_set_makes_everything_feasible() {
     // subtrees as minimal too; equality with the reference covers those).
     assert!(graph.minimal_feasible.contains(&Vec::<String>::new()));
 }
-
-/// Satellite regression: the deprecated free `essential_features` and the
-/// unified `SearchGraph::essential_features` must agree (they share one
-/// implementation now; this pins the behavioural parity, `None`-vs-empty
-/// included).
-#[test]
-#[allow(deprecated)]
-fn essential_features_parity_between_free_function_and_method() {
-    let lattice = RandomLattice {
-        base: vec![vec![1, 0, 0]],
-        features: vec![(vec![vec![1, 1, 0]], false), (vec![vec![0, 1, 1]], false)],
-    };
-    for seed in [1u64, 5, 9, 13] {
-        let observations = observation_set(seed, 5, 1);
-        let universe = lattice.universe();
-        let generator = |set: &FeatureSet| lattice.cone(set);
-        let graph = LatticeSearch::new(generator, &universe).run(&FeatureSet::new(), &observations);
-
-        // Rebuild the explored models as a `ModelEvaluation` set and run the
-        // deprecated free function over it.
-        let evaluations: Vec<counterpoint::ModelEvaluation> = graph
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(i, step)| counterpoint::ModelEvaluation {
-                name: format!("step{i}"),
-                features: step.features.clone(),
-                infeasible_count: step.infeasible_count,
-                infeasible_observations: Vec::new(),
-                total_observations: observations.len(),
-                feasible: step.feasible,
-            })
-            .collect();
-        let from_free = counterpoint::essential_features(&evaluations);
-        let from_method = graph.essential_features();
-        match from_free {
-            Some(features) => assert_eq!(features, from_method, "seed {seed}"),
-            None => assert!(
-                from_method.is_empty(),
-                "no feasible model: the method must return an empty set (seed {seed})"
-            ),
-        }
-    }
-}
