@@ -2,10 +2,11 @@
 //!
 //! This is the benchmark behind the CI perf-regression gate
 //! (`ci/bench_gate.sh`): the `per_observation_*` entries re-run the historical
-//! one-LP-per-observation path, the `batched_*` entries run the warm-started
-//! [`BatchFeasibility`] engine on the same data, and the `_exact` variants use
-//! point observations (shared coordinate axes), where the (cone, axes)
-//! coefficient cache and bounds-only warm restarts pay off most.
+//! one-LP-per-observation path, the `batched_*` entries run the
+//! [`BatchFeasibility`] decision path on the same data, and the `_exact`
+//! variants use point observations (shared coordinate axes), where the
+//! (cone, axes) coefficient cache and the tier-1 solver's bounds-only warm
+//! restarts pay off most.
 
 use counterpoint::lp::{LinearProgram, Relation};
 use counterpoint::{check_models, BatchFeasibility, FeasibilityChecker, ModelCone, Observation};

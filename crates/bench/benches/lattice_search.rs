@@ -8,8 +8,8 @@
 //! observation, no state carried between solves), and the `lattice_engine*`
 //! entries run [`LatticeSearch`] on the same inputs, which must produce the
 //! identical `SearchGraph` while settling most of the work from the
-//! per-(cone, axes) coefficient caches, the warm dual-simplex bases and the
-//! cross-model certificate/witness pool.
+//! per-(cone, axes) coefficient caches, the warm tier-1 dual-simplex bases
+//! and the cross-model certificate/witness pool.
 //!
 //! The `_exact` pair is the headline: a full discovery + elimination
 //! trajectory over exact steady-state means collected at six access budgets
@@ -18,7 +18,7 @@
 //! `guided_reference_exact`.  The plain pair sweeps the noisy single-campaign
 //! observations (one correlated confidence region per observation, distinct
 //! principal axes), where the engine's win is structurally smaller: tight
-//! noisy regions force per-observation tableau rebinds on both sides.
+//! noisy regions force per-observation coefficient rebuilds on both sides.
 
 use counterpoint::haswell::mem::PageSize;
 use counterpoint::models::family::build_feature_model;

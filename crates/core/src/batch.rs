@@ -1,37 +1,35 @@
-//! Batched feasibility testing: the warm-started engine behind CounterPoint's
-//! hot loop.
+//! Batched feasibility testing: the engine behind CounterPoint's hot loop.
 //!
 //! A refutation campaign asks the same structural question thousands of times:
 //! for each model cone and each observation, does the observation's confidence
 //! region intersect the cone?  [`FeasibilityChecker::is_feasible`] answers one
-//! instance from scratch — it recomputes the `axis · generator` coefficient
+//! instance from scratch — it computes the `axis · generator` coefficient
 //! matrix (a function of the cone and the counter-space axes only) and runs a
 //! cold dual simplex from the all-slack basis.  [`BatchFeasibility`] amortises
-//! both across a campaign:
+//! that work across a campaign.  The coefficient matrix is computed **once per
+//! (cone, axes) pair** and reused for every observation sharing those axes
+//! (all exact observations share the coordinate axes; repeated measurements of
+//! one workload share their region's principal axes).  Two LP engines read
+//! it, one per role:
 //!
-//! * the coefficient matrix is computed **once per (cone, axes) pair** and
-//!   reused for every observation sharing those axes (all exact observations
-//!   share the coordinate axes; repeated measurements of one workload share
-//!   their region's principal axes), and
-//! * the LP is kept alive as a warm [`Tableau`]: when only the bounds move the
-//!   dual simplex restarts from the previous observation's basis
-//!   ([`Tableau::resolve`]; [`Tableau::resolve_with_basis`] also lets a caller
-//!   seed a fresh tableau with a recorded basis), and a handful of pivots
-//!   replace a full cold solve, and
-//! * verdicts of past solves are recycled: Farkas separating directions and
-//!   scaled cone-point witness rays settle many observations in `O(d²)`
-//!   without touching the LP at all.
+//! * **Decisions** (the bool [`is_feasible`](BatchFeasibility::is_feasible)
+//!   and [`decide_lenient`](BatchFeasibility::decide_lenient)) run on the
+//!   tier-1 [`FactorTableau`].  When only the bounds move, its dual simplex
+//!   warm-starts from the previous observation's basis.
+//! * **Evidence** ([`verdict`](BatchFeasibility::verdict)), a thin-margin
+//!   tier-1 verdict and a tier-1 solve that fails to converge all come from
+//!   one cold solve (`ColdSolve`) built only from the cone and the
+//!   observation, so a Report's witnesses and certificates never depend on
+//!   what the engine solved before.  If that cold solve fails to converge,
+//!   the verdict is [`FeasibilityVerdict::Inconclusive`].
 //!
-//! Verdicts are identical to the per-observation checker: the two paths share
-//! the row-construction arithmetic bit for bit, and every verdict the warm
-//! tableau does not settle — the checker's own, a thin-margin tier-1 verdict,
-//! a warm solve that fails to converge — comes from one cold solve built only
-//! from the cone and the observation.  If that cold solve fails to converge
-//! too, the verdict is [`FeasibilityVerdict::Inconclusive`].  Only the work to
-//! reach a verdict changes.  [`check_models`] fans a model family ×
-//! observation matrix across `std::thread` workers with the same deterministic
-//! pattern the `counterpoint-collect` campaign runner uses: results land in
-//! model order no matter how many workers run or which finishes first.
+//! Both roles recycle the verdicts of past solves: Farkas separating
+//! directions and scaled cone-point witness rays settle many observations in
+//! `O(d²)` without touching the LP at all.  Only the work to reach a verdict
+//! changes.  [`check_models`] fans a model family × observation matrix across
+//! `std::thread` workers with the same deterministic pattern the
+//! `counterpoint-collect` campaign runner uses: results land in model order no
+//! matter how many workers run or which finishes first.
 //!
 //! [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
 
@@ -73,8 +71,8 @@ pub enum FeasibilityVerdict {
         /// still sound).
         certificate: Vec<f64>,
     },
-    /// No verdict could be reached: the dual simplex failed to converge, and
-    /// so did its one cold restart from the all-slack basis.  The bool-returning
+    /// No verdict could be reached: the cold dual simplex failed to converge.
+    /// The bool-returning
     /// [`BatchFeasibility::is_feasible`] resolves this as not-refuted (no
     /// certificate exists); the verdict path reports it explicitly so a
     /// session can record the gap and move on.  Each occurrence increments
@@ -129,14 +127,11 @@ const MAX_WITNESS_RAYS: usize = 8;
 /// it prunes models with certificates cached from other models.
 pub(crate) const CERTIFICATE_MARGIN: f64 = 1e-6;
 
-/// The observation-independent state cached for the most recent confidence
-///-region axes: the equilibrated coefficient matrix and the warm solvers.
-///
-/// `tableau` is the exact tier-2 engine — the historical dense-`B⁻¹` dual
-/// simplex every piece of returned evidence flows through, byte-identical to
-/// the pre-two-tier engine.  `fast` is the tier-1 factorized solver the
-/// no-evidence decision path runs on; it is built lazily on the first
-/// decision solve so pure evidence engines never pay for it.
+/// The observation-independent state cached for the most recent
+/// confidence-region axes: the equilibrated coefficient matrix, which every
+/// solve reads, and the warm tier-1 solver bound to it.  `fast` is built
+/// lazily on the first decision solve, so evidence-only engines never pay
+/// for it.
 #[derive(Clone, Debug)]
 struct AxesCache {
     axes: Vec<Vec<f64>>,
@@ -145,16 +140,15 @@ struct AxesCache {
     /// all share the standard axes.
     standard: bool,
     matrix: ConeMatrix,
-    tableau: Tableau,
     fast: Option<FactorTableau>,
 }
 
-/// Warm-started feasibility testing of many observations against one model
-/// cone.
+/// Batched feasibility testing of many observations against one model cone.
 ///
 /// Construction mirrors [`FeasibilityChecker::new`]; the difference is that
 /// [`is_feasible`](BatchFeasibility::is_feasible) takes `&mut self` so the
-/// engine can keep the factorised LP state alive between calls.  Use it
+/// engine can keep the tier-1 LP state and the harvested evidence pools alive
+/// between calls.  Use it
 /// whenever more than a handful of observations are tested against the same
 /// cone — [`FeasibilityChecker::count_infeasible`], [`check_models`] and the
 /// session layer already route through it.
@@ -214,12 +208,6 @@ pub struct BatchFeasibility<'a> {
     /// Scratch bounds, reused across observations.
     lo: Vec<f64>,
     hi: Vec<f64>,
-    /// A basis handed down from a parent engine (see
-    /// [`set_warm_basis`](BatchFeasibility::set_warm_basis)): applied to the
-    /// first tableau built for exactly these axes, then discarded.
-    warm_basis: Option<(Vec<Vec<f64>>, Vec<usize>)>,
-    /// The armed half of `warm_basis`: consumed by the next resolve.
-    pending_basis: Option<Vec<usize>>,
 }
 
 impl<'a> BatchFeasibility<'a> {
@@ -236,8 +224,6 @@ impl<'a> BatchFeasibility<'a> {
             witness_supports: Vec::new(),
             lo: Vec::new(),
             hi: Vec::new(),
-            warm_basis: None,
-            pending_basis: None,
         }
     }
 
@@ -247,8 +233,7 @@ impl<'a> BatchFeasibility<'a> {
     }
 
     /// The cone generators as dense `f64` vectors, in LP column order — the
-    /// ordering [`basis_handoff`](BatchFeasibility::basis_handoff) bases refer
-    /// to.
+    /// ordering witness-ray supports refer to.
     pub(crate) fn generator_vectors(&self) -> &[Vec<f64>] {
         self.generators
     }
@@ -265,62 +250,16 @@ impl<'a> BatchFeasibility<'a> {
         direction.len() == self.cone.dimension() && certificate_is_sound(self.sparse, direction)
     }
 
-    /// The current warm tableau state — the cached confidence-region axes and
-    /// the dual-simplex basis the last solve ended in — for handing to a
-    /// structurally related engine via
-    /// [`set_warm_basis`](BatchFeasibility::set_warm_basis).  `None` before
-    /// the first LP touch.  Basis entries index this engine's columns:
-    /// structural flows first (one per generator, in
-    /// generator order), then the band slacks.
-    pub fn basis_handoff(&self) -> Option<(Vec<Vec<f64>>, Vec<usize>)> {
-        self.cache.as_ref().map(|cache| {
-            // Decision engines solve on the tier-1 factorization; its basis
-            // uses the same column numbering, so the handoff survives the
-            // representation change.  Evidence engines never build `fast` and
-            // keep handing off the exact tableau's basis.
-            let basis = match cache.fast.as_ref() {
-                Some(fast) => fast.basis().to_vec(),
-                None => cache.tableau.basis().to_vec(),
-            };
-            (cache.axes.clone(), basis)
-        })
-    }
-
-    /// Seeds the first tableau built for exactly `axes` with `basis` — e.g. a
-    /// parent model's final basis from
-    /// [`basis_handoff`](BatchFeasibility::basis_handoff), with structural
-    /// columns re-indexed into this engine's generator order (unmappable
-    /// columns may be marked `usize::MAX`; they are skipped during
-    /// installation and the affected rows keep their slack).  Only the pivot
-    /// count changes: the dual simplex restores feasibility from whatever
-    /// basis is installed, and the engine still restarts cold on
-    /// non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `basis` does not have `2 · axes.len()` entries.
-    pub fn set_warm_basis(&mut self, axes: Vec<Vec<f64>>, basis: Vec<usize>) {
-        assert_eq!(
-            basis.len(),
-            2 * axes.len(),
-            "a band system over {} axes has {} rows",
-            axes.len(),
-            2 * axes.len()
-        );
-        self.warm_basis = Some((axes, basis));
-        self.pending_basis = None;
-    }
-
     /// Returns `true` if the observation's confidence region intersects the
     /// model cone.  Agrees with [`FeasibilityChecker::is_feasible`] on every
-    /// input; reuses the cached coefficient matrix and warm LP basis where the
-    /// per-observation checker starts from scratch.
+    /// input; reuses the cached coefficient matrix and warm tier-1 basis where
+    /// the per-observation checker starts from scratch.
     ///
     /// # Panics
     ///
     /// Panics if the observation's dimension differs from the cone's.
     ///
-    /// LP non-convergence (pathological cycling, on the warm solve and its
+    /// LP non-convergence (pathological cycling, on the tier-1 solve and its
     /// cold restart) does *not* panic: a refutation needs a Farkas
     /// certificate and none exists, so the observation deterministically
     /// counts as not refuted (`true`), mirrored by
@@ -348,8 +287,10 @@ impl<'a> BatchFeasibility<'a> {
     /// Like [`is_feasible`](BatchFeasibility::is_feasible), but returns the
     /// evidence-carrying [`FeasibilityVerdict`]: the witness cone point of a
     /// feasible test, or the Farkas separating direction of a refutation.
-    /// The decision agrees with `is_feasible` on every input (the two share
-    /// one code path); only the extracted evidence differs.
+    /// The decision agrees with `is_feasible` on every input; only the
+    /// extracted evidence differs.  An observation the harvested pools do not
+    /// settle is answered by one cold solve, so its evidence is the same
+    /// whatever this engine solved before.
     ///
     /// # Panics
     ///
@@ -359,10 +300,10 @@ impl<'a> BatchFeasibility<'a> {
     }
 
     /// The shared decision procedure behind [`is_feasible`] and [`verdict`]:
-    /// with `want_evidence = false` the returned verdict carries empty
-    /// evidence vectors (no allocation) and the hot path does exactly the
-    /// historical work; with `true` it additionally reconstructs the witness
-    /// point or folds the Farkas multipliers into a counter-space certificate.
+    /// both consult the harvested pools first.  With `want_evidence = false`
+    /// the returned verdict carries empty evidence vectors (no allocation)
+    /// and the tier-1 solver decides; with `true` the one cold solve answers
+    /// and its witness point or folded Farkas certificate is returned.
     ///
     /// [`is_feasible`]: BatchFeasibility::is_feasible
     /// [`verdict`]: BatchFeasibility::verdict
@@ -435,7 +376,66 @@ impl<'a> BatchFeasibility<'a> {
             return FeasibilityVerdict::Feasible { witness };
         }
 
-        let num_flows = self.sparse.len();
+        self.bind_axes(region);
+        if want_evidence {
+            return self.solve_cold(region, scale, true);
+        }
+
+        let cache = self.cache.as_mut().expect("axes were just bound");
+        self.lo.clear();
+        self.hi.clear();
+        for k in 0..cache.matrix.rows.len() {
+            let (lo, hi) = row_bounds(region, &cache.matrix, k, scale);
+            self.lo.push(lo);
+            self.hi.push(hi);
+        }
+        let AxesCache { matrix, fast, .. } = cache;
+        let fast = fast.get_or_insert_with(|| FactorTableau::band(self.sparse.len(), &matrix.rows));
+
+        // Tier 1: the factorized f64 solver decides, warm-started from the
+        // basis the previous observation ended in, and only verdicts whose
+        // terminal margin is comfortably wide are trusted.  Thin margins
+        // escalate to the cold solve `FeasibilityChecker::is_feasible` runs,
+        // so the agreement contract holds exactly where fast arithmetic is
+        // shakiest.
+        match fast.resolve(&self.lo, &self.hi) {
+            Ok(out) if out.confident => {
+                if out.feasible {
+                    self.harvest_feasible_fast();
+                    FeasibilityVerdict::Feasible {
+                        witness: Vec::new(),
+                    }
+                } else {
+                    self.harvest_refuted_fast(region);
+                    FeasibilityVerdict::Refuted {
+                        certificate: Vec::new(),
+                    }
+                }
+            }
+            Ok(_) => {
+                telemetry::add(telemetry::Metric::LpTier2Escalations, 1);
+                self.solve_cold(region, scale, false)
+            }
+            Err(_) => {
+                // The one cold restart after a warm solve cycled out of its
+                // iteration budget: drop the poisoned tier-1 state and answer
+                // like the per-observation checker does.
+                telemetry::add(telemetry::Metric::ColdSolverFallbacks, 1);
+                let _span = telemetry::span("lp_cold_solve", observation.name());
+                if let Some(cache) = self.cache.as_mut() {
+                    cache.fast = None;
+                }
+                self.solve_cold(region, scale, false)
+            }
+        }
+    }
+
+    /// Makes the cached coefficient matrix the one for `region`'s axes,
+    /// rebuilding it in place on a miss.  A tier-1 solver bound to the old
+    /// matrix is rebound to the new one (or dropped, if the band count
+    /// changed, for the next decision to rebuild), so an axes miss rebinds
+    /// at most one tableau and an evidence-only engine never builds one.
+    fn bind_axes(&mut self, region: &ConfidenceRegion) {
         let axes_match = self.cache.as_ref().is_some_and(|cache| {
             (cache.standard && region.standard_axes()) || cache.axes.as_slice() == region.axes()
         });
@@ -447,251 +447,100 @@ impl<'a> BatchFeasibility<'a> {
             },
             1,
         );
-        if !axes_match {
-            match self.cache.as_mut() {
-                // Same shape: rebuild the coefficient matrix and refill the
-                // tableau in place — no allocation on the steady-state path.
-                //
-                // The previous basis is deliberately *not* carried across an
-                // axes change (via `resolve_with_basis`): installing each
-                // structural column into the fresh factorisation costs one
-                // pivot, which measures as a net loss against simply running
-                // the handful of dual pivots from the all-slack basis — and
-                // cold-starting keeps this path's arithmetic bit-identical to
-                // `FeasibilityChecker::is_feasible`.  Warm starts pay off on
-                // the bounds-only path below, where the factorisation itself
-                // survives.
-                Some(cache) if cache.tableau.num_bands() == region.axes().len() => {
-                    cache.matrix.build_sparse_into(region.axes(), self.sparse);
-                    cache.tableau.rebind(&cache.matrix.rows);
-                    if let Some(fast) = cache.fast.as_mut() {
-                        fast.rebind(&cache.matrix.rows);
-                    }
-                    clone_axes_into(&mut cache.axes, region.axes());
-                    cache.standard = region.standard_axes();
-                }
-                _ => {
-                    let mut matrix = ConeMatrix::empty();
-                    matrix.build_sparse_into(region.axes(), self.sparse);
-                    let tableau = Tableau::band(num_flows, &matrix.rows);
-                    self.cache = Some(AxesCache {
-                        axes: region.axes().to_vec(),
-                        standard: region.standard_axes(),
-                        matrix,
-                        tableau,
-                        fast: None,
-                    });
-                }
-            }
-            // A handed-down parent basis applies once, to the first tableau
-            // whose axes match it exactly (the fresh tableau starts all-slack
-            // either way, so arming it here is sound on both branches above).
-            if self
-                .warm_basis
-                .as_ref()
-                .is_some_and(|(axes, _)| axes.as_slice() == region.axes())
-            {
-                let (_, basis) = self.warm_basis.take().expect("warm basis just matched");
-                self.pending_basis = Some(basis);
-            }
+        if axes_match {
+            return;
         }
-
-        let cache = self.cache.as_mut().expect("cache was just populated");
-        let bands = cache.matrix.rows.len();
-        self.lo.clear();
-        self.hi.clear();
-        for k in 0..bands {
-            let (lo, hi) = row_bounds(region, &cache.matrix, k, scale);
-            self.lo.push(lo);
-            self.hi.push(hi);
-        }
-
-        // On matching axes the factorisation is still valid and only the
-        // bounds moved: `resolve` warm-starts the dual simplex from the basis
-        // the previous observation ended in.  After an axes change the rebind
-        // above reset to the all-slack basis and this is a cold start — unless
-        // a parent engine handed its final basis down for these axes, in which
-        // case that basis is replayed first.
-
-        if !want_evidence {
-            // Tier 1: the factorized f64 solver decides, and only verdicts
-            // whose terminal margin is comfortably wide are trusted.  Thin
-            // margins escalate to the cold tier-2 solve
-            // `FeasibilityChecker::is_feasible` runs, so the agreement
-            // contract holds exactly where fast arithmetic is shakiest.
-            // Evidence solves never come through here — the warm tier-2
-            // tableau below stays the engine of record for Report bytes.
-            if cache.fast.is_none() {
-                cache.fast = Some(FactorTableau::band(num_flows, &cache.matrix.rows));
-            }
-            let fast = cache.fast.as_mut().expect("tier-1 solver just built");
-            let outcome = match self.pending_basis.take() {
-                Some(basis) => fast.resolve_with_basis(&self.lo, &self.hi, &basis),
-                None => fast.resolve(&self.lo, &self.hi),
-            };
-            let verdict = match outcome {
-                Ok(out) if out.confident => {
-                    if out.feasible {
-                        self.harvest_feasible_fast();
-                        FeasibilityVerdict::Feasible {
-                            witness: Vec::new(),
-                        }
-                    } else {
-                        self.harvest_refuted_fast(region);
-                        FeasibilityVerdict::Refuted {
-                            certificate: Vec::new(),
-                        }
-                    }
-                }
-                Ok(_) => {
-                    telemetry::add(telemetry::Metric::LpTier2Escalations, 1);
-                    self.escalate_exact(region, scale)
-                }
-                Err(_) => self.cold_fallback(observation, region, scale, false),
-            };
-            return verdict;
-        }
-
-        let outcome = match self.pending_basis.take() {
-            Some(basis) => cache.tableau.resolve_with_basis(&self.lo, &self.hi, &basis),
-            None => cache.tableau.resolve(&self.lo, &self.hi),
+        let Some(cache) = self.cache.as_mut() else {
+            self.cache = Some(AxesCache {
+                axes: region.axes().to_vec(),
+                standard: region.standard_axes(),
+                matrix: ConeMatrix::build(region.axes(), self.sparse),
+                fast: None,
+            });
+            return;
         };
-
-        match outcome {
-            Ok(true) => {
-                let witness = self.conclude_feasible(scale, want_evidence);
-                FeasibilityVerdict::Feasible { witness }
+        cache.matrix.build_sparse_into(region.axes(), self.sparse);
+        clone_axes_into(&mut cache.axes, region.axes());
+        cache.standard = region.standard_axes();
+        // The rebind resets to the all-slack basis: warm starts pay off on
+        // the bounds-only path, where the factorization itself survives.
+        match cache.fast.as_mut() {
+            Some(fast) if fast.num_bands() == cache.matrix.rows.len() => {
+                fast.rebind(&cache.matrix.rows);
             }
-            Ok(false) => {
-                let certificate = self.conclude_refuted(region, want_evidence);
-                FeasibilityVerdict::Refuted { certificate }
-            }
-            Err(_) => self.cold_fallback(observation, region, scale, want_evidence),
+            _ => cache.fast = None,
         }
     }
 
-    /// The one cold restart after a warm solve cycled out of its iteration
-    /// budget, shared by both tiers: drop the poisoned warm state and answer
-    /// exactly like the per-observation checker does, from a fresh
-    /// [`ColdSolve`].  If that solve fails to converge too, the verdict is
-    /// [`FeasibilityVerdict::Inconclusive`].
-    fn cold_fallback(
+    /// Answers one observation with the one [`ColdSolve`] — the arithmetic
+    /// `FeasibilityChecker::is_feasible` runs, bit for bit — and harvests its
+    /// evidence into the short-circuit pools so the solve still pays forward.
+    /// The coefficient matrix is the cached one for the observation's axes,
+    /// a pure function of the cone and the axes, so the solve depends on the
+    /// cone and the observation alone.
+    ///
+    /// A feasible solve reconstructs the counter-space cone point of the
+    /// basic flows (`y* = Σ f_j · g_j`) and caches its unit-norm ray.  The
+    /// flow values are only positively scaled relative to the raw problem, so
+    /// the cached ray's direction — all that matters — is unchanged; the
+    /// returned witness (with `want_evidence`) re-applies the observation
+    /// scale.
+    ///
+    /// An infeasible solve folds the stuck dual row's multipliers into a
+    /// counter-space separating direction (see [`sound_certificate`]) and
+    /// caches it.  The direction satisfies `c · g ≥ 0` for every generator —
+    /// a property of the cone alone — so it stays valid for every future
+    /// observation.
+    ///
+    /// The solve already starts cold, so non-convergence is
+    /// [`FeasibilityVerdict::Inconclusive`] directly.
+    fn solve_cold(
         &mut self,
-        observation: &Observation,
         region: &ConfidenceRegion,
         scale: f64,
         want_evidence: bool,
     ) -> FeasibilityVerdict {
-        telemetry::add(telemetry::Metric::ColdSolverFallbacks, 1);
-        let _span = telemetry::span("lp_cold_solve", observation.name());
-        self.cache = None;
-        let dim = self.cone.dimension();
-        let mut cold = ColdSolve::new(self.sparse, region, scale);
-        match cold.solve() {
-            FeasibilityVerdict::Feasible { .. } if want_evidence => {
-                let (raw, _) = flow_combination(self.sparse, cold.tableau.basic_flows(), dim);
-                FeasibilityVerdict::Feasible {
-                    witness: raw.iter().map(|v| v * scale).collect(),
-                }
-            }
-            FeasibilityVerdict::Refuted { .. } if want_evidence => FeasibilityVerdict::Refuted {
-                certificate: sound_certificate(self.sparse, region, &cold.matrix, &cold.tableau)
-                    .unwrap_or_default(),
-            },
-            verdict => verdict,
-        }
-    }
-
-    /// Wraps up a feasible warm solve: reconstructs the counter-space cone
-    /// point of the solution the tableau just found (`y* = Σ f_j · g_j` over
-    /// the basic flows) and caches its unit-norm ray for future feasible
-    /// short-circuits.  The flow values are only positively scaled relative to
-    /// the raw problem, so the cached ray's direction — all that matters — is
-    /// unchanged; the returned witness carries the real magnitudes.
-    fn conclude_feasible(&mut self, scale: f64, want_evidence: bool) -> Vec<f64> {
-        if !want_evidence && self.witness_rays.len() >= MAX_WITNESS_RAYS {
-            return Vec::new();
-        }
-        let Some(cache) = self.cache.as_ref() else {
-            return Vec::new();
-        };
-        // Accumulate the *unscaled* flow combination first: the cached ray is
-        // normalised from it, and the returned witness re-applies the
-        // observation scale afterwards.
-        let (raw, support) = flow_combination(
-            self.sparse,
-            cache.tableau.basic_flows(),
-            self.cone.dimension(),
-        );
-        let witness = if want_evidence {
-            raw.iter().map(|v| v * scale).collect()
-        } else {
-            Vec::new()
-        };
-        self.push_witness_ray(&raw, support);
-        witness
-    }
-
-    /// Wraps up an infeasible warm solve: folds the tableau's Farkas
-    /// multipliers into a counter-space separating direction, caches it for
-    /// future short-circuits and (on the verdict path) returns it.
-    ///
-    /// The stuck dual row gives `π ≥ 0` with `π · [A|S] ≥ 0` and `π · b < 0`.
-    /// Folding the per-band multiplier difference back through the axes yields
-    /// `c = Σ_k (π_{2k+1} − π_{2k}) / bound_div_k · axis_k` with `c · g ≥ 0`
-    /// for every generator `g` — a property of the cone alone, so the
-    /// certificate stays valid for every future observation.  The direction is
-    /// re-verified against the generators before caching or returning (the
-    /// multipliers are only non-negative up to the solver tolerance).
-    fn conclude_refuted(&mut self, region: &ConfidenceRegion, want_evidence: bool) -> Vec<f64> {
-        if !want_evidence && self.certificates.len() >= MAX_CERTIFICATES {
-            return Vec::new();
-        }
-        let Some(cache) = self.cache.as_ref() else {
-            return Vec::new();
-        };
-        let Some(direction) = sound_certificate(self.sparse, region, &cache.matrix, &cache.tableau)
-        else {
-            return Vec::new();
-        };
-        let certificate = if want_evidence {
-            direction.clone()
-        } else {
-            Vec::new()
-        };
-        self.push_certificate(direction);
-        certificate
-    }
-
-    /// Escalates a near-degenerate tier-1 verdict to the cold tier-2 solve —
-    /// the arithmetic `FeasibilityChecker::is_feasible` runs, bit for bit —
-    /// and harvests its evidence into the short-circuit pools so the
-    /// escalation still pays forward.  This solve already starts cold, so
-    /// non-convergence ends the chain as [`FeasibilityVerdict::Inconclusive`].
-    fn escalate_exact(&mut self, region: &ConfidenceRegion, scale: f64) -> FeasibilityVerdict {
-        let dim = self.cone.dimension();
-        let mut cold = ColdSolve::new(self.sparse, region, scale);
-        let verdict = cold.solve();
-        match verdict {
+        let matrix = &self.cache.as_ref().expect("axes were just bound").matrix;
+        let mut cold = ColdSolve::new(self.sparse.len(), matrix, region, scale);
+        let mut ray = None;
+        let mut direction = None;
+        let verdict = match cold.solve() {
             FeasibilityVerdict::Feasible { .. } => {
-                let (raw, support) = flow_combination(self.sparse, cold.tableau.basic_flows(), dim);
-                self.push_witness_ray(&raw, support);
+                let (raw, support) = flow_combination(
+                    self.sparse,
+                    cold.tableau.basic_flows(),
+                    self.cone.dimension(),
+                );
+                let witness = if want_evidence {
+                    raw.iter().map(|v| v * scale).collect()
+                } else {
+                    Vec::new()
+                };
+                ray = Some((raw, support));
+                FeasibilityVerdict::Feasible { witness }
             }
             FeasibilityVerdict::Refuted { .. } => {
-                if let Some(direction) =
-                    sound_certificate(self.sparse, region, &cold.matrix, &cold.tableau)
-                {
-                    self.push_certificate(direction);
-                }
+                direction = sound_certificate(self.sparse, region, matrix, &cold.tableau);
+                let certificate = match &direction {
+                    Some(direction) if want_evidence => direction.clone(),
+                    _ => Vec::new(),
+                };
+                FeasibilityVerdict::Refuted { certificate }
             }
-            FeasibilityVerdict::Inconclusive { .. } => {}
+            inconclusive => inconclusive,
+        };
+        if let Some((raw, support)) = ray {
+            self.push_witness_ray(&raw, support);
+        }
+        if let Some(direction) = direction {
+            self.push_certificate(direction);
         }
         verdict
     }
 
     /// Wraps up a confidently feasible tier-1 solve: harvests the factorized
     /// tableau's flow combination into the witness-ray pool (the same
-    /// `f > 1e-9` support filter as the exact harvest).  When the smallest
+    /// `f > 1e-9` support filter as the cold harvest).  When the smallest
     /// included flow sits near that inclusion threshold, the combination is
     /// recomputed in exact rational arithmetic before the ray is trusted —
     /// the margin-triggered recertification of the witness machinery.  On
@@ -805,7 +654,7 @@ impl<'a> BatchFeasibility<'a> {
         self.witness_rays.iter().zip(&self.witness_supports)
     }
 
-    /// The positive-flow combination the warm tableau currently holds, as a
+    /// The positive-flow combination the tier-1 solver currently holds, as a
     /// unit ∞-norm ray plus its support, regardless of how the last decision
     /// was reached.  Only flows strictly above the solver tolerance
     /// contribute, so the combination is a cone point even when the tableau
@@ -813,14 +662,9 @@ impl<'a> BatchFeasibility<'a> {
     /// combination of generators is.  `None` before the first solve or when
     /// every flow is (near) zero.
     pub(crate) fn current_ray_with_support(&self) -> Option<(Vec<f64>, Vec<usize>)> {
-        let cache = self.cache.as_ref()?;
-        let dim = self.cone.dimension();
-        // Read whichever solver actually ran last: the tier-1 factorization
-        // on decision engines, the exact tableau everywhere else.
-        let (mut raw, support) = match cache.fast.as_ref() {
-            Some(fast) => flow_combination(self.sparse, fast.basic_flows(), dim),
-            None => flow_combination(self.sparse, cache.tableau.basic_flows(), dim),
-        };
+        let fast = self.cache.as_ref()?.fast.as_ref()?;
+        let (mut raw, support) =
+            flow_combination(self.sparse, fast.basic_flows(), self.cone.dimension());
         let norm = ray_norm(&raw)?;
         for v in &mut raw {
             *v /= norm;
@@ -847,38 +691,36 @@ impl<'a> BatchFeasibility<'a> {
     }
 }
 
-/// The one cold solve behind every verdict a warm tableau does not settle:
-/// [`FeasibilityChecker::is_feasible`], the tier-2 escalation of a thin-margin
-/// tier-1 verdict, and the restart after a warm solve fails to converge.  It
-/// is built only from the cone and the observation — a fresh coefficient
-/// matrix, fresh bounds and an all-slack band tableau — so its verdict never
-/// depends on what an engine solved before.
+/// The one cold solve behind every verdict the tier-1 solver does not settle:
+/// [`FeasibilityChecker::is_feasible`], every evidence verdict, the tier-2
+/// escalation of a thin-margin tier-1 verdict, and the restart after a tier-1
+/// solve fails to converge.  It is built only from the cone and the
+/// observation — the coefficient matrix for the observation's axes, fresh
+/// bounds and an all-slack band tableau — so its verdict and evidence never
+/// depend on what an engine solved before.
 ///
 /// [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
 pub(crate) struct ColdSolve {
-    matrix: ConeMatrix,
     tableau: Tableau,
     lo: Vec<f64>,
     hi: Vec<f64>,
 }
 
 impl ColdSolve {
-    /// Builds the LP for `region` against the sparse generators, with flows
-    /// rescaled by the observation's `scale`.
+    /// Builds the LP for `region` over `num_flows` flow variables from the
+    /// coefficient matrix for its axes, with flows rescaled by the
+    /// observation's `scale`.
     pub(crate) fn new(
-        sparse: &[Vec<(usize, f64)>],
+        num_flows: usize,
+        matrix: &ConeMatrix,
         region: &ConfidenceRegion,
         scale: f64,
     ) -> ColdSolve {
-        let mut matrix = ConeMatrix::empty();
-        matrix.build_sparse_into(region.axes(), sparse);
         let (lo, hi) = (0..matrix.rows.len())
-            .map(|k| row_bounds(region, &matrix, k, scale))
+            .map(|k| row_bounds(region, matrix, k, scale))
             .unzip();
-        let tableau = Tableau::band(sparse.len(), &matrix.rows);
         ColdSolve {
-            matrix,
-            tableau,
+            tableau: Tableau::band(num_flows, &matrix.rows),
             lo,
             hi,
         }
@@ -967,8 +809,8 @@ fn sound_certificate(
         .filter(|c| certificate_is_sound(sparse, c))
 }
 
-/// The folding arithmetic of [`sound_certificate`], from bare multipliers in interleaved row order — the
-/// shared folding arithmetic behind both the tier-2 tableau and the tier-1
+/// The folding arithmetic of [`sound_certificate`], from bare multipliers in
+/// interleaved row order — shared by the cold tableau and the tier-1
 /// factorized solver.
 fn fold_certificate_from(
     region: &ConfidenceRegion,
@@ -1174,7 +1016,7 @@ fn clone_axes_into(cached: &mut Vec<Vec<f64>>, source: &[Vec<f64>]) {
 ///
 /// This is the batched analogue of running [`BatchFeasibility::check_all`] per
 /// model: each worker owns one model at a time and sweeps the full observation
-/// list with a warm engine, so per-model results are independent of the thread
+/// list with one engine, so per-model results are independent of the thread
 /// count and land in model order — the same deterministic worker pattern the
 /// `counterpoint-collect` campaign runner uses.  `threads = 0` means "use the
 /// host's available parallelism"; `threads = 1` (or a single model) runs
@@ -1195,7 +1037,7 @@ pub fn check_models(
 /// The evidence-carrying analogue of [`check_models`]: one
 /// [`FeasibilityVerdict`] per (model, observation) pair, fanned across worker
 /// threads with the same deterministic pattern.  Each model's observation
-/// sweep runs on a single worker with its own warm engine, so the verdicts —
+/// sweep runs on a single worker with its own engine, so the verdicts —
 /// witnesses and certificates included — are identical for every thread count.
 pub fn check_models_verdicts(
     cones: &[&ModelCone],
@@ -1388,6 +1230,69 @@ mod tests {
         }
     }
 
+    /// A verdict's evidence as raw bits, so equality is bit-identity.
+    fn evidence_bits(verdict: &FeasibilityVerdict) -> (bool, Vec<u64>) {
+        let evidence = verdict.witness().or(verdict.certificate()).unwrap_or(&[]);
+        (
+            verdict.is_feasible(),
+            evidence.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn evidence_does_not_depend_on_earlier_solves() {
+        // The cone {y ≤ x, z ≤ x} over three counters, against exact
+        // observations (which all share the coordinate axes).  Each verdict
+        // on an engine that has already solved the earlier observations must
+        // be bit-identical to a fresh engine's.  A warm evidence tableau fails
+        // this: restarted from the previous basis it lands on another vertex,
+        // and (9, 1, 6) comes back as (8.999999999999998, 0.9999999999999994,
+        // 6.0).
+        let space = CounterSpace::new(&["x", "y", "z"]);
+        let cone = ModelCone::from_signatures(
+            "y,z<=x",
+            &space,
+            [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+                .iter()
+                .map(|s| CounterSignature::from_counts(s.to_vec()))
+                .collect(),
+            4,
+        );
+        let checker = FeasibilityChecker::new(&cone);
+        let mut shared = BatchFeasibility::new(&cone);
+        for point in [
+            [10.0, 4.0, 3.0],
+            [7.0, 9.0, 2.0],
+            [5.0, 5.0, 5.0],
+            [9.0, 1.0, 6.0],
+            [12.0, 11.0, 1.0],
+            [2.0, 1.0, 7.0],
+        ] {
+            let obs = Observation::exact("probe", &point);
+            let region = obs.region();
+            let margin = CERTIFICATE_MARGIN * observation_scale(region);
+            assert!(
+                shared
+                    .farkas_certificates()
+                    .iter()
+                    .all(|c| region.interval_along(c).1 >= -margin)
+                    && !shared
+                        .witness_rays()
+                        .iter()
+                        .any(|ray| ray_pierces_box(ray, region, margin)),
+                "{point:?} must reach the LP, not a pooled short-circuit"
+            );
+            let verdict = shared.verdict(&obs);
+            assert_eq!(
+                evidence_bits(&verdict),
+                evidence_bits(&BatchFeasibility::new(&cone).verdict(&obs)),
+                "evidence for {point:?} depends on the engine's history"
+            );
+            assert!(verdict.witness().or(verdict.certificate()).is_some());
+            assert_eq!(verdict.is_feasible(), checker.is_feasible(&obs));
+        }
+    }
+
     #[test]
     fn cold_solve_non_convergence_is_inconclusive() {
         // The terminal path of every solve chain: a cold solve that runs out
@@ -1398,11 +1303,9 @@ mod tests {
         let cone = fig6a_cone();
         let obs = Observation::exact("b", &[4.0, 10.0]);
         let region = obs.region();
-        let mut cold = ColdSolve::new(
-            &cone.generators_f64().sparse,
-            region,
-            observation_scale(region),
-        );
+        let sparse = &cone.generators_f64().sparse;
+        let matrix = ConeMatrix::build(region.axes(), sparse);
+        let mut cold = ColdSolve::new(sparse.len(), &matrix, region, observation_scale(region));
         cold.tableau.set_max_iterations(0);
         let recording = telemetry::Recording::start();
         let verdict = cold.solve();
@@ -1417,11 +1320,7 @@ mod tests {
             "is_feasible maps inconclusive to true"
         );
         // Uncapped, the same solve refutes the observation.
-        let mut cold = ColdSolve::new(
-            &cone.generators_f64().sparse,
-            region,
-            observation_scale(region),
-        );
+        let mut cold = ColdSolve::new(sparse.len(), &matrix, region, observation_scale(region));
         assert!(cold.solve().is_refuted());
     }
 

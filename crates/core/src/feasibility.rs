@@ -72,13 +72,15 @@ pub(crate) struct ConeMatrix {
 }
 
 impl ConeMatrix {
-    /// An empty matrix, to be populated by
-    /// [`build_sparse_into`](ConeMatrix::build_sparse_into).
-    pub(crate) fn empty() -> ConeMatrix {
-        ConeMatrix {
+    /// The matrix for `axes` (see
+    /// [`build_sparse_into`](ConeMatrix::build_sparse_into)).
+    pub(crate) fn build(axes: &[Vec<f64>], sparse: &[Vec<(usize, f64)>]) -> ConeMatrix {
+        let mut matrix = ConeMatrix {
             rows: Vec::new(),
             bound_divs: Vec::new(),
-        }
+        };
+        matrix.build_sparse_into(axes, sparse);
+        matrix
     }
 
     /// Computes the coefficient matrix `A[k][p] = axis_k · generator_p` from
@@ -216,7 +218,14 @@ impl<'a> FeasibilityChecker<'a> {
             return region.contains(&vec![0.0; self.cone.dimension()]);
         }
 
-        let verdict = ColdSolve::new(self.sparse, region, observation_scale(region)).solve();
+        let matrix = ConeMatrix::build(region.axes(), self.sparse);
+        let verdict = ColdSolve::new(
+            self.sparse.len(),
+            &matrix,
+            region,
+            observation_scale(region),
+        )
+        .solve();
         not_refuted(&verdict)
     }
 

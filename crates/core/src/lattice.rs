@@ -12,8 +12,8 @@
 //! * **Batched, warm-started solves.**  Each candidate model sweeps the
 //!   observation set through one [`BatchFeasibility`] engine, so the
 //!   `axis · generator` coefficient matrix is built once per (cone, axes)
-//!   pair and the dual simplex warm-starts from the previous observation's
-//!   basis instead of from scratch.
+//!   pair and the tier-1 dual simplex warm-starts from the previous
+//!   observation's basis instead of from scratch.
 //! * **Cross-model certificate pruning.**  A Farkas certificate `c` that
 //!   refuted some model satisfies `c · g ≥ 0` for that model's generators
 //!   while the observation's whole confidence region sits strictly on the
@@ -33,10 +33,6 @@
 //!   support — an exact set-membership check — and the observations a scaled
 //!   ray pierces are precomputed as a bitmask the same way.  Feasible
 //!   observations, which certificates can never settle, then skip the LP too.
-//! * **Parent→child basis handoff.**  The dual-simplex basis a parent model's
-//!   sweep ended in is re-indexed onto the child model's generator columns
-//!   (unmappable columns fall back to their slack) and seeds the child's first
-//!   solve on matching axes ([`BatchFeasibility::set_warm_basis`]).
 //! * **Deterministic parallel evaluation.**  The driver runs the exact
 //!   sequential discovery/elimination recursion, but obtains the counts of
 //!   each frontier — all single-feature additions of a discovery step, all
@@ -106,12 +102,10 @@ pub struct LatticeStats {
     pub witness_settled: usize,
     /// Observations that reached the batched LP engine.
     pub lp_tested: usize,
-    /// Observations no solve could decide (the warm solve and its cold
-    /// restart both failed to converge), counted as not refuted (normally
-    /// zero).
+    /// Observations no solve could decide (the cold solve that settles a
+    /// thin-margin or non-converging tier-1 solve failed to converge too),
+    /// counted as not refuted (normally zero).
     pub inconclusive: usize,
-    /// Child models whose first solve was seeded with a parent basis.
-    pub warm_basis_handoffs: usize,
     /// Pooled Farkas certificates harvested under a *different* family key
     /// (see [`CertificatePool`]) that applied to a model of this search.
     pub cross_family_certificate_hits: usize,
@@ -139,16 +133,6 @@ pub struct PrunedModel {
     /// Indices of the observations a pooled witness ray settled feasible
     /// without an LP solve.
     pub witness_observations: Vec<usize>,
-}
-
-/// The warm state a parent model hands to its children: the parent's
-/// generators (to re-index basis columns), the axes its tableau was bound to,
-/// and the basis its sweep ended in.
-#[derive(Clone, Debug)]
-struct Handoff {
-    generators: Vec<Vec<f64>>,
-    axes: Vec<Vec<f64>>,
-    basis: Vec<usize>,
 }
 
 /// A pooled Farkas certificate: the separating direction plus the bitmask of
@@ -316,9 +300,8 @@ fn mask_bit(mask: &[u64], i: usize) -> bool {
 }
 
 /// The count provider the driver pulls from: a batch of candidate feature
-/// sets plus the batch's parent model (for warm-state handoff), returning one
-/// infeasible-observation count per candidate.
-type BatchEval<'a> = dyn FnMut(&[FeatureSet], Option<&FeatureSet>) -> Vec<usize> + 'a;
+/// sets, returning one infeasible-observation count per candidate.
+type BatchEval<'a> = dyn FnMut(&[FeatureSet]) -> Vec<usize> + 'a;
 
 /// The outcome of sweeping one candidate model over the observation set.
 struct ModelOutcome {
@@ -330,8 +313,6 @@ struct ModelOutcome {
     cross_certificates: usize,
     /// Applied pool rays harvested under a different family key.
     cross_rays: usize,
-    handoff: Option<Handoff>,
-    got_warm_basis: bool,
 }
 
 /// Parallel certificate-pruned discovery/elimination search over a feature
@@ -443,7 +424,7 @@ where
         // so they are evaluated as one batch; the winner is chosen by the same
         // first-strict-minimum rule as the sequential reference.
         let mut current = initial.clone();
-        let mut current_count = eval(std::slice::from_ref(&current), None)[0];
+        let mut current_count = eval(std::slice::from_ref(&current))[0];
         evaluated.insert(current.iter().cloned().collect());
         let mut current_idx = record(&current, current_count, SearchPhase::Discovery, &mut steps);
 
@@ -459,7 +440,7 @@ where
                 tried.push(feature.clone());
                 candidates.push(candidate);
             }
-            let counts = eval(&candidates, Some(&current));
+            let counts = eval(&candidates);
             let mut best: Option<(usize, usize)> = None;
             for (i, &count) in counts.iter().enumerate() {
                 if best.is_none_or(|(_, c)| count < c) {
@@ -537,7 +518,7 @@ where
             // prefetch set is exactly what the loop below will request, capped
             // by the remaining budget to bound speculation.
             prefetch.truncate(self.max_models - steps.len());
-            let _ = eval(&prefetch, Some(features));
+            let _ = eval(&prefetch);
         }
         let mut any_feasible_child = false;
         for feature in features.iter().cloned().collect::<Vec<_>>() {
@@ -551,7 +532,7 @@ where
                 continue;
             }
             evaluated.insert(key);
-            let count = eval(std::slice::from_ref(&candidate), Some(features))[0];
+            let count = eval(std::slice::from_ref(&candidate))[0];
             steps.push(SearchStep {
                 features: candidate.iter().cloned().collect(),
                 infeasible_count: count,
@@ -610,9 +591,7 @@ where
             self.threads
         };
         let mut evaluator = Evaluator::new(&self.generator, observations, self.shared.as_ref());
-        let graph = self.drive(initial, &mut |sets, parent| {
-            evaluator.counts(sets, parent, threads)
-        });
+        let graph = self.drive(initial, &mut |sets| evaluator.counts(sets, threads));
         (graph, evaluator.finish())
     }
 }
@@ -628,7 +607,6 @@ struct Evaluator<'a, G> {
     /// pool hit is always a verdict the LP would reach too.
     margins: Vec<f64>,
     memo: BTreeMap<Vec<String>, usize>,
-    handoffs: BTreeMap<Vec<String>, Handoff>,
     pool: Arc<SharedPool>,
     /// The family key this search tags harvested pool entries with (empty
     /// without a shared pool, so every entry's origin matches and no
@@ -663,7 +641,6 @@ where
                 .map(|o| CERTIFICATE_MARGIN * observation_scale(o.region()))
                 .collect(),
             memo: BTreeMap::new(),
-            handoffs: BTreeMap::new(),
             pool,
             family,
             stats: LatticeStats::default(),
@@ -671,8 +648,7 @@ where
     }
 
     /// Evaluates a batch inline, without spawning workers.
-    fn counts_seq(&mut self, sets: &[FeatureSet], parent: Option<&FeatureSet>) -> Vec<usize> {
-        let parent_handoff = self.parent_handoff(parent);
+    fn counts_seq(&mut self, sets: &[FeatureSet]) -> Vec<usize> {
         let mut counts = Vec::with_capacity(sets.len());
         let mut evaluated = 0u64;
         let _span = telemetry::span("frontier_batch", &sets.len().to_string());
@@ -690,7 +666,6 @@ where
                 &self.margins,
                 &self.pool,
                 &self.family,
-                parent_handoff.as_ref(),
             );
             evaluated += 1;
             counts.push(outcome.infeasible);
@@ -699,13 +674,6 @@ where
         telemetry::add(telemetry::Metric::FrontierBatches, 1);
         telemetry::observe(telemetry::Histogram::FrontierBatchSize, evaluated);
         counts
-    }
-
-    /// Looks up the warm state recorded for the batch's parent model.
-    fn parent_handoff(&self, parent: Option<&FeatureSet>) -> Option<Handoff> {
-        parent
-            .and_then(|p| self.handoffs.get(&p.iter().cloned().collect::<Vec<_>>()))
-            .cloned()
     }
 
     /// Folds one model's outcome into the memo and the stats.  The driver
@@ -721,9 +689,6 @@ where
         self.stats.inconclusive += outcome.inconclusive;
         self.stats.cross_family_certificate_hits += outcome.cross_certificates;
         self.stats.cross_family_witness_hits += outcome.cross_rays;
-        if outcome.got_warm_basis {
-            self.stats.warm_basis_handoffs += 1;
-        }
         if telemetry::enabled() {
             telemetry::add(telemetry::Metric::FrontierModelsEvaluated, 1);
             telemetry::add(
@@ -742,14 +707,6 @@ where
                 telemetry::Metric::WitnessRaySettlements,
                 outcome.witnessed.len() as u64,
             );
-            telemetry::add(
-                if outcome.got_warm_basis {
-                    telemetry::Metric::WarmBasisHandoffHits
-                } else {
-                    telemetry::Metric::WarmBasisHandoffMisses
-                },
-                1,
-            );
         }
         if !outcome.pruned.is_empty() || !outcome.witnessed.is_empty() {
             self.stats.pruned_models.push(PrunedModel {
@@ -757,9 +714,6 @@ where
                 pruned_observations: outcome.pruned,
                 witness_observations: outcome.witnessed,
             });
-        }
-        if let Some(handoff) = outcome.handoff {
-            self.handoffs.insert(key.clone(), handoff);
         }
         self.memo.insert(key, outcome.infeasible);
     }
@@ -783,12 +737,7 @@ where
     /// Evaluates a batch, fanning memo misses across up to `threads` workers.
     /// Results merge by candidate index, so the memo contents — and therefore
     /// every count the driver sees — are independent of worker timing.
-    fn counts(
-        &mut self,
-        sets: &[FeatureSet],
-        parent: Option<&FeatureSet>,
-        threads: usize,
-    ) -> Vec<usize> {
+    fn counts(&mut self, sets: &[FeatureSet], threads: usize) -> Vec<usize> {
         let todo: Vec<&FeatureSet> = sets
             .iter()
             .filter(|s| {
@@ -799,13 +748,12 @@ where
             .collect();
         let workers = threads.min(todo.len());
         if workers <= 1 {
-            return self.counts_seq(sets, parent);
+            return self.counts_seq(sets);
         }
         let _span = telemetry::span("frontier_batch", &todo.len().to_string());
         telemetry::add(telemetry::Metric::FrontierBatches, 1);
         telemetry::observe(telemetry::Histogram::FrontierBatchSize, todo.len() as u64);
         self.stats.memoized_hits += sets.len() - todo.len();
-        let parent_handoff = self.parent_handoff(parent);
         let slots: Vec<Mutex<Option<ModelOutcome>>> =
             todo.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
@@ -817,7 +765,6 @@ where
         let margins = &self.margins;
         let pool = &self.pool;
         let family = &self.family;
-        let handoff = parent_handoff.as_ref();
         std::thread::scope(|scope| {
             for worker in 0..workers {
                 let processed = &processed[worker];
@@ -827,15 +774,8 @@ where
                     let Some(set) = todo.get(idx) else {
                         break;
                     };
-                    let outcome = evaluate_model(
-                        generator,
-                        set,
-                        observations,
-                        margins,
-                        pool,
-                        family,
-                        handoff,
-                    );
+                    let outcome =
+                        evaluate_model(generator, set, observations, margins, pool, family);
                     *slots[idx].lock().expect("search worker panicked") = Some(outcome);
                     processed.fetch_add(1, Ordering::Relaxed);
                 });
@@ -860,8 +800,8 @@ where
 }
 
 /// Sweeps one candidate model over the observation set: pool-certificate
-/// prunes first, warm batched LP solves for the rest, fresh certificates back
-/// into the pool.
+/// prunes first, batched tier-1 LP solves for the rest, fresh certificates
+/// back into the pool.
 fn evaluate_model<G>(
     generator: &G,
     features: &FeatureSet,
@@ -869,7 +809,6 @@ fn evaluate_model<G>(
     margins: &[f64],
     pool: &SharedPool,
     family: &Arc<str>,
-    parent: Option<&Handoff>,
 ) -> ModelOutcome
 where
     G: Fn(&FeatureSet) -> ModelCone,
@@ -925,19 +864,11 @@ where
         }
     }
 
-    let mut got_warm_basis = false;
-    if let Some(parent) = parent {
-        if let Some(mapped) = map_basis(parent, engine.generator_vectors()) {
-            engine.set_warm_basis(parent.axes.clone(), mapped);
-            got_warm_basis = true;
-        }
-    }
-
     let mut infeasible = 0usize;
     let mut pruned: Vec<usize> = Vec::new();
     let mut witnessed: Vec<usize> = Vec::new();
     let mut inconclusive = 0usize;
-    // Self-witness harvest: after each feasible decision, the tableau's
+    // Self-witness harvest: after each feasible decision, the tier-1 solver's
     // positive-flow combination is a cone point; when a scaled copy pierces
     // *this* observation's box (the engine's own margin criterion), the pair
     // (ray, {observation}) goes to the pool with a single-bit mask — O(1) to
@@ -967,12 +898,13 @@ where
                 }
             }
             FeasibilityVerdict::Refuted { .. } => infeasible += 1,
-            // The warm solve and its cold restart both ran out of iterations.
-            // The restart is built only from the cone and the observation, so
-            // this outcome does not depend on the timing-sensitive pool
-            // contents that decide whether an observation ever reaches the
-            // LP, and counting it as not refuted (no certificate exists)
-            // keeps the count a pure function of the feature set.
+            // The cold solve behind a thin-margin or non-converging tier-1
+            // solve ran out of iterations.  That solve is built only from the
+            // cone and the observation, so this outcome does not depend on
+            // the timing-sensitive pool contents that decide whether an
+            // observation ever reaches the LP, and counting it as not refuted
+            // (no certificate exists) keeps the count a pure function of the
+            // feature set.
             FeasibilityVerdict::Inconclusive { .. } => inconclusive += 1,
         }
     }
@@ -1105,11 +1037,6 @@ where
         rays.truncate(cap);
     }
 
-    let handoff = engine.basis_handoff().map(|(axes, basis)| Handoff {
-        generators: engine.generator_vectors().to_vec(),
-        axes,
-        basis,
-    });
     ModelOutcome {
         infeasible,
         pruned,
@@ -1117,43 +1044,7 @@ where
         inconclusive,
         cross_certificates,
         cross_rays,
-        handoff,
-        got_warm_basis,
     }
-}
-
-/// Re-indexes a parent basis onto a child engine's columns: structural
-/// columns map through exact generator identity (bit-level), slacks map by
-/// row; columns with no counterpart become `usize::MAX`, which the tableau
-/// skips during installation.  `None` when the child has no generators (the
-/// degenerate cone never builds a tableau).
-fn map_basis(parent: &Handoff, child_generators: &[Vec<f64>]) -> Option<Vec<usize>> {
-    let child_n = child_generators.len();
-    if child_n == 0 || parent.basis.len() != 2 * parent.axes.len() {
-        return None;
-    }
-    let index: BTreeMap<Vec<u64>, usize> = child_generators
-        .iter()
-        .enumerate()
-        .map(|(j, g)| (generator_bits(g), j))
-        .collect();
-    let parent_n = parent.generators.len();
-    Some(
-        parent
-            .basis
-            .iter()
-            .map(|&col| {
-                if col < parent_n {
-                    index
-                        .get(&generator_bits(&parent.generators[col]))
-                        .copied()
-                        .unwrap_or(usize::MAX)
-                } else {
-                    child_n + (col - parent_n)
-                }
-            })
-            .collect(),
-    )
 }
 
 /// A generator as an exact bit-pattern key (generators are deduplicated per

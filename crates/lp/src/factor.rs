@@ -1,12 +1,12 @@
 //! Tier-1 dual-simplex core: a product-form factorization of the band-system
 //! basis laid out for SIMD-friendly column scans.
 //!
-//! [`Tableau`](crate::Tableau) keeps `B⁻¹` as one dense `m × m` block whose
-//! hot loops (BTRAN pricing, FTRAN, the per-solve `B⁻¹·b` product) read it
-//! with stride-2 access patterns and reduce with strictly serial float sums —
-//! neither of which the compiler may vectorize, because reassociating an f64
-//! reduction changes its rounding.  [`FactorTableau`] answers the same
-//! feasibility question with a representation chosen for hardware speed:
+//! The cold [`Tableau`](crate::Tableau) keeps `B⁻¹` as one dense `m × m`
+//! block whose hot loops (BTRAN pricing, FTRAN) read it with stride-2 access
+//! patterns and reduce with strictly serial float sums — neither of which the
+//! compiler may vectorize, because reassociating an f64 reduction changes its
+//! rounding.  [`FactorTableau`] answers the same feasibility question, warm
+//! across solves, with a representation chosen for hardware speed:
 //!
 //! * `B⁻¹` is split by band side into two `m × d̂` blocks (`d̂` = bands padded
 //!   to the SIMD lane width): `ge[i][k] = B⁻¹[i][2k]` covers the `≥ lo` rows
@@ -26,7 +26,7 @@
 //! The verdict of a solve carries a *confidence* bit: when the terminal
 //! margin is near-degenerate (a tolerated-negative basic value on a feasible
 //! exit, or a thin Farkas margin on an infeasible one), the caller is told to
-//! escalate to the exact tier-2 engine instead of trusting fast arithmetic.
+//! escalate to the cold tier-2 solve instead of trusting fast arithmetic.
 //! `BatchFeasibility` in `counterpoint-core` builds its two-tier solve on
 //! exactly this contract.
 
@@ -652,10 +652,12 @@ const RISKY_ENTRY: f64 = 1e-8;
 /// Warm dual-simplex feasibility of the band system `lo ≤ A·x ≤ hi`, `x ≥ 0`,
 /// on the split product-form factorization described in the module docs.
 ///
-/// The API mirrors [`Tableau`](crate::Tableau) — `band`/`rebind`/`resolve`/
-/// `resolve_with_basis`/`basis`/`basic_flows`/`farkas_multipliers` — and uses
-/// the same column indexing (structural flows first, then band slacks in row
-/// order), so a basis recorded by either engine seeds the other.
+/// [`resolve`](FactorTableau::resolve) warm-starts from the basis the
+/// previous solve ended in, and [`rebind`](FactorTableau::rebind) swaps in a
+/// new coefficient matrix of the same shape without reallocating.  Columns
+/// are indexed like [`Tableau`](crate::Tableau)'s (structural flows first,
+/// then band slacks in row order), and `basic_flows`/`farkas_multipliers`
+/// share its layout.
 #[derive(Clone, Debug)]
 pub struct FactorTableau {
     num_vars: usize,
@@ -772,8 +774,8 @@ impl FactorTableau {
         self.refactor_interval = interval.max(1);
     }
 
-    /// The current basis (one column index per row), in the same column
-    /// numbering as [`Tableau::basis`](crate::Tableau::basis).
+    /// The current basis (one column index per row): structural flows first,
+    /// then band slacks in row order.
     pub fn basis(&self) -> &[usize] {
         &self.basis
     }
@@ -843,23 +845,18 @@ impl FactorTableau {
     }
 
     /// Replays `basis` onto the current factorization, skipping already-basic
-    /// and numerically unusable columns.  Returns the number of pivots
-    /// replayed.
-    fn install_basis(&mut self, basis: &[usize]) -> u64 {
-        let total = self.num_vars + 2 * self.num_bands;
+    /// and numerically unusable columns.
+    fn install_basis(&mut self, basis: &[usize]) {
         let pivot_tol = self.epsilon.max(1e-7);
-        let mut replayed = 0u64;
         for (row, &col) in basis.iter().enumerate() {
-            if col >= total || self.basis[row] == col || self.in_basis[col] {
+            if self.basis[row] == col || self.in_basis[col] {
                 continue;
             }
             self.load_column(col);
             if self.colbuf[row].abs() > pivot_tol {
                 self.pivot(row, col);
-                replayed += 1;
             }
         }
-        replayed
     }
 
     /// The structural (flow) variables that are basic in the current basis,
@@ -888,7 +885,7 @@ impl FactorTableau {
     /// # Errors
     ///
     /// Returns [`LpError::IterationLimit`] if the dual simplex fails to
-    /// converge; callers should fall back to the exact engine.
+    /// converge; callers should fall back to a cold solve.
     ///
     /// # Panics
     ///
@@ -920,35 +917,6 @@ impl FactorTableau {
             );
         }
         self.restore_feasibility()
-    }
-
-    /// Like [`resolve`](FactorTableau::resolve), but first installs `basis` —
-    /// e.g. the final basis of a structurally similar tableau — by replaying
-    /// pivots.  Columns that would make the basis singular are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::IterationLimit`] if the dual simplex fails to
-    /// converge after the basis is installed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `basis` does not have one entry per row, or `lo`/`hi` do not
-    /// have one entry per band.
-    pub fn resolve_with_basis(
-        &mut self,
-        lo: &[f64],
-        hi: &[f64],
-        basis: &[usize],
-    ) -> Result<FastOutcome, LpError> {
-        assert_eq!(
-            basis.len(),
-            2 * self.num_bands,
-            "basis has the wrong length"
-        );
-        let replayed = self.install_basis(basis);
-        telemetry::add(telemetry::Metric::LpBasisReplayPivots, replayed);
-        self.resolve(lo, hi)
     }
 
     /// Dual-simplex feasibility restoration with per-solve telemetry flushes,
@@ -1245,23 +1213,6 @@ mod tests {
             let b = lazy.resolve(&lo, &hi).expect("lazy converges");
             assert_eq!(a.feasible, b.feasible, "verdict diverged at step {step}");
         }
-    }
-
-    #[test]
-    fn warm_basis_replay_matches_cold_solve() {
-        let bands = simple_bands();
-        let mut donor = FactorTableau::band(3, &bands);
-        donor.resolve(&[1.0, 1.0, 1.0], &[5.0, 4.0, 9.0]).unwrap();
-        let basis = donor.basis().to_vec();
-        let mut warm = FactorTableau::band(3, &bands);
-        let w = warm
-            .resolve_with_basis(&[2.0, 0.0, 1.0], &[6.0, 3.0, 7.0], &basis)
-            .expect("warm converges");
-        let mut cold = FactorTableau::band(3, &bands);
-        let c = cold
-            .resolve(&[2.0, 0.0, 1.0], &[6.0, 3.0, 7.0])
-            .expect("cold converges");
-        assert_eq!(w.feasible, c.feasible);
     }
 
     #[test]

@@ -208,20 +208,17 @@ impl LinearProgram {
     }
 }
 
-/// A warm-startable revised dual-simplex engine for *band feasibility*
-/// systems `lo ≤ A·x ≤ hi` over `x ≥ 0`.
+/// A revised dual-simplex engine for *band feasibility* systems
+/// `lo ≤ A·x ≤ hi` over `x ≥ 0`, solved cold.
 ///
-/// This is the shape of CounterPoint's hot path: one band per confidence-region
-/// axis, whose coefficient row `A_k` (`axis · generator` per flow variable) is a
-/// function of the model cone and the counter-space axes only, while the bounds
-/// `lo`/`hi` move from observation to observation.  A `Tableau` therefore keeps
-/// the factorised state — the basis and its inverse `B⁻¹` — alive across
-/// solves: [`resolve`](Tableau::resolve) after a bounds-only change starts from
-/// the previous solve's basis and usually needs only a handful of dual-simplex
-/// pivots instead of a full two-phase solve, [`rebind`](Tableau::rebind) swaps
-/// in a new coefficient matrix of the same shape without reallocating, and
-/// [`resolve_with_basis`](Tableau::resolve_with_basis) seeds the tableau with a
-/// basis carried over from a structurally similar system.
+/// This is the shape of CounterPoint's feasibility question: one band per
+/// confidence-region axis, whose coefficient row `A_k` (`axis · generator` per
+/// flow variable) is a function of the model cone and the counter-space axes
+/// only, while the bounds `lo`/`hi` come from the observation.  Every
+/// [`resolve`](Tableau::resolve) starts from the all-slack basis, so its
+/// verdict, basic flows and Farkas multipliers depend on the band matrix and
+/// the bounds alone — never on an earlier solve.  The warm-started decision
+/// engine is [`FactorTableau`](crate::FactorTableau).
 ///
 /// Conceptually each band `k` contributes two rows:
 ///
@@ -233,17 +230,13 @@ impl LinearProgram {
 /// `B⁻¹·[A | S]` tableau.  Only `B⁻¹` (`2d × 2d`) and the raw band matrix
 /// (`d × p`) are stored; the leaving row's coefficients and the entering column
 /// are reconstructed on demand, so a pivot costs `O(d·p + d²)` instead of the
-/// classical `O(d·(p + d))` row sweep over a matrix twice that size, and a
-/// bounds-only restart costs `O(d²)`.
+/// classical `O(d·(p + d))` row sweep over a matrix twice that size.
 ///
 /// Because the objective is identically zero, every basis is dual-feasible and
 /// the dual simplex reduces to feasibility restoration: pick a row whose basic
 /// value is negative, pivot on a negative entry, and stop when either no row is
 /// violated (feasible) or a violated row has no negative entry (infeasible —
 /// the row reads "a non-negative combination equals a negative number").
-///
-/// The one-shot [`LinearProgram::solve`] path is untouched; this type exists
-/// for callers that answer the same feasibility question many times.
 #[derive(Clone, Debug)]
 pub struct Tableau {
     num_vars: usize,
@@ -254,13 +247,10 @@ pub struct Tableau {
     bands_t: Vec<f64>,
     /// `B⁻¹` (`2·num_bands` square, flat row-major), maintained across pivots.
     binv: Vec<f64>,
-    /// `true` while `B⁻¹` is still the identity (all-slack basis, no pivots
-    /// since the last rebind): lets `resolve` skip the `B⁻¹·b` product.
-    binv_is_identity: bool,
     /// `B⁻¹·b` for the most recent bounds.
     rhs: Vec<f64>,
     /// Basic column per row (`j < num_vars`: flow `j`; otherwise slack
-    /// `j − num_vars`).
+    /// `j − num_vars`).  Empty until the first resolve.
     basis: Vec<usize>,
     /// `in_basis[j]` mirrors `basis` for O(1) membership tests.
     in_basis: Vec<bool>,
@@ -268,43 +258,57 @@ pub struct Tableau {
     infeasible_row: Option<usize>,
     /// Scratch: per-band multiplier differences of the leaving row.
     delta: Vec<f64>,
+    /// Scratch: the bands whose entry of `delta` is non-zero.
+    active: Vec<usize>,
     /// Scratch: the leaving row's structural coefficients.
     rowbuf: Vec<f64>,
     /// Scratch: the entering column in basis coordinates (`B⁻¹·a`).
     colbuf: Vec<f64>,
+    /// Scratch: the non-zero entries of the scaled pivot row of `B⁻¹`.
+    pivot_row: Vec<(usize, f64)>,
     epsilon: f64,
     max_iterations: usize,
 }
 
-// PROFILING TEMP — remove before commit.
-#[allow(missing_docs)]
 impl Tableau {
-    /// Builds a tableau for the band system `lo ≤ A·x ≤ hi` over `x ≥ 0`,
-    /// starting from the all-slack basis.  `bands` holds the rows of `A`.
+    /// Builds a tableau for the band system `lo ≤ A·x ≤ hi` over `x ≥ 0`.
+    /// `bands` holds the rows of `A`.
     ///
     /// # Panics
     ///
     /// Panics if any band row's length differs from `num_vars`.
     pub fn band(num_vars: usize, bands: &[Vec<f64>]) -> Tableau {
-        let m = 2 * bands.len();
-        let mut tableau = Tableau {
+        let d = bands.len();
+        let m = 2 * d;
+        let mut bands_t = vec![0.0; num_vars * d];
+        for (k, src) in bands.iter().enumerate() {
+            assert_eq!(
+                src.len(),
+                num_vars,
+                "band {k} has {} coefficients, expected {num_vars}",
+                src.len()
+            );
+            for (j, &a) in src.iter().enumerate() {
+                bands_t[j * d + k] = a;
+            }
+        }
+        Tableau {
             num_vars,
-            num_bands: bands.len(),
-            bands_t: vec![0.0; num_vars * bands.len()],
+            num_bands: d,
+            bands_t,
             binv: vec![0.0; m * m],
-            binv_is_identity: true,
             rhs: vec![0.0; m],
-            basis: Vec::new(),
+            basis: Vec::with_capacity(m),
             in_basis: vec![false; num_vars + m],
             infeasible_row: None,
-            delta: vec![0.0; bands.len()],
+            delta: vec![0.0; d],
+            active: Vec::with_capacity(d),
             rowbuf: vec![0.0; num_vars],
             colbuf: vec![0.0; m],
+            pivot_row: Vec::with_capacity(m),
             epsilon: 1e-9,
             max_iterations: 50_000,
-        };
-        tableau.rebind(bands);
-        tableau
+        }
     }
 
     /// Number of structural variables.
@@ -325,52 +329,6 @@ impl Tableau {
     /// Overrides the dual-simplex iteration limit (default 50 000).
     pub fn set_max_iterations(&mut self, limit: usize) {
         self.max_iterations = limit;
-    }
-
-    /// The current basis (one column index per row), e.g. to seed another
-    /// tableau via [`resolve_with_basis`](Tableau::resolve_with_basis).
-    pub fn basis(&self) -> &[usize] {
-        &self.basis
-    }
-
-    /// Replaces the band matrix with one of the same shape and resets the
-    /// tableau to the all-slack basis, reusing every allocation.  The batched
-    /// feasibility engine calls this when the confidence-region axes change
-    /// (new coefficient matrix, same dimensions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of bands or a row length differs from the shape the
-    /// tableau was built with.
-    pub fn rebind(&mut self, bands: &[Vec<f64>]) {
-        assert_eq!(bands.len(), self.num_bands, "band count changed in rebind");
-        let n = self.num_vars;
-        let d = self.num_bands;
-        for (k, src) in bands.iter().enumerate() {
-            assert_eq!(
-                src.len(),
-                n,
-                "band {k} has {} coefficients, expected {n}",
-                src.len()
-            );
-            for (j, &a) in src.iter().enumerate() {
-                self.bands_t[j * d + k] = a;
-            }
-        }
-        self.binv.fill(0.0);
-        let m = 2 * d;
-        for i in 0..m {
-            self.binv[i * m + i] = 1.0;
-        }
-        self.binv_is_identity = true;
-        self.in_basis.fill(false);
-        for slot in self.in_basis.iter_mut().skip(n) {
-            *slot = true;
-        }
-        self.basis.clear();
-        self.basis.extend(n..n + 2 * self.num_bands);
-        self.infeasible_row = None;
-        telemetry::add(telemetry::Metric::LpRefactorizations, 1);
     }
 
     /// The structural (flow) variables that are basic in the current basis,
@@ -396,15 +354,14 @@ impl Tableau {
         self.infeasible_row.map(|r| &self.binv[r * m..(r + 1) * m])
     }
 
-    /// Decides feasibility of the band system under new bounds, warm-starting
-    /// the dual simplex from the basis the previous call ended in.
+    /// Decides feasibility of the band system under the bounds `lo`/`hi`,
+    /// running the dual simplex from the all-slack basis.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::IterationLimit`] if the dual simplex fails to
-    /// converge.  A warm-started caller can retry once on a fresh tableau
-    /// (all-slack basis); past that, no verdict exists and the caller should
-    /// report the instance as undecided rather than guess.
+    /// converge.  The solve is already cold, so no verdict exists and the
+    /// caller should report the instance as undecided rather than guess.
     ///
     /// # Panics
     ///
@@ -412,67 +369,30 @@ impl Tableau {
     pub fn resolve(&mut self, lo: &[f64], hi: &[f64]) -> Result<bool, LpError> {
         assert_eq!(lo.len(), self.num_bands, "lo has the wrong length");
         assert_eq!(hi.len(), self.num_bands, "hi has the wrong length");
-        let m = 2 * self.num_bands;
-        // rhs = B⁻¹·b for the current basis, with b in original row
-        // coordinates (the ≥ side is pre-negated).
-        if self.binv_is_identity {
-            for k in 0..self.num_bands {
-                self.rhs[2 * k] = -lo[k];
-                self.rhs[2 * k + 1] = hi[k];
-            }
-        } else {
-            for i in 0..m {
-                let row = &self.binv[i * m..(i + 1) * m];
-                let mut acc = 0.0;
-                for k in 0..self.num_bands {
-                    acc += row[2 * k] * -lo[k] + row[2 * k + 1] * hi[k];
-                }
-                self.rhs[i] = acc;
-            }
+        self.reset_to_slack_basis();
+        // With `B⁻¹ = I`, `B⁻¹·b` is `b` itself (the ≥ side is pre-negated).
+        for k in 0..self.num_bands {
+            self.rhs[2 * k] = -lo[k];
+            self.rhs[2 * k + 1] = hi[k];
         }
         self.restore_feasibility()
     }
 
-    /// Like [`resolve`](Tableau::resolve), but first installs `basis` — e.g.
-    /// the final basis of a structurally similar tableau — by replaying pivots.
-    /// Basis columns that would make the basis singular (pivot too small) are
-    /// skipped, leaving the incumbent basic column in that row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::IterationLimit`] if the dual simplex fails to
-    /// converge after the basis is installed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `basis` does not have one entry per row, or `lo`/`hi` do not
-    /// have one entry per band.
-    pub fn resolve_with_basis(
-        &mut self,
-        lo: &[f64],
-        hi: &[f64],
-        basis: &[usize],
-    ) -> Result<bool, LpError> {
+    /// Resets `B⁻¹` to the identity and the basis to all-slack.
+    fn reset_to_slack_basis(&mut self) {
+        let n = self.num_vars;
         let m = 2 * self.num_bands;
-        assert_eq!(basis.len(), m, "basis has the wrong length");
-        let total = self.num_vars + m;
-        // Replaying a pivot with a tiny pivot element would poison B⁻¹; such
-        // columns are simply not installed (the row keeps its current basic
-        // variable, typically its slack).
-        let pivot_tol = self.epsilon.max(1e-7);
-        let mut replayed = 0u64;
-        for (row, &col) in basis.iter().enumerate() {
-            if col >= total || self.basis[row] == col || self.in_basis[col] {
-                continue;
-            }
-            self.load_column(col);
-            if self.colbuf[row].abs() > pivot_tol {
-                self.pivot(row, col);
-                replayed += 1;
-            }
+        self.binv.fill(0.0);
+        for i in 0..m {
+            self.binv[i * m + i] = 1.0;
         }
-        telemetry::add(telemetry::Metric::LpBasisReplayPivots, replayed);
-        self.resolve(lo, hi)
+        self.in_basis.fill(false);
+        for slot in self.in_basis.iter_mut().skip(n) {
+            *slot = true;
+        }
+        self.basis.clear();
+        self.basis.extend(n..n + m);
+        self.infeasible_row = None;
     }
 
     /// Dual-simplex feasibility restoration from the current (dual-feasible,
@@ -533,24 +453,29 @@ impl Tableau {
             // i carries π_i.  Any non-basic column with a negative entry keeps
             // dual feasibility (all reduced costs are zero); prefer the
             // largest magnitude for numerical stability.
+            //
+            // `B⁻¹` rows stay sparse over a cold solve's few pivots, so only
+            // the non-zero multiplier differences are summed, and basic
+            // columns (which cannot enter) are not priced.  A skipped term is
+            // an exact zero: it could only flip the sign of a zero sum, which
+            // no comparison below can see.
             {
                 let pi = &self.binv[row * m..(row + 1) * m];
+                self.active.clear();
                 for (k, d) in self.delta.iter_mut().enumerate() {
                     *d = pi[2 * k + 1] - pi[2 * k];
+                    if *d != 0.0 {
+                        self.active.push(k);
+                    }
                 }
             }
             let d = self.num_bands;
-            for (buf, col) in self
-                .rowbuf
-                .iter_mut()
-                .zip(self.bands_t.chunks_exact(d.max(1)))
-            {
-                *buf = self
-                    .delta
-                    .iter()
-                    .zip(col.iter())
-                    .map(|(dk, a)| dk * a)
-                    .sum();
+            for (j, buf) in self.rowbuf.iter_mut().enumerate() {
+                if self.in_basis[j] {
+                    continue;
+                }
+                let col = &self.bands_t[j * d..(j + 1) * d];
+                *buf = self.active.iter().map(|&k| self.delta[k] * col[k]).sum();
             }
             let mut enter: Option<usize> = None;
             let mut best = self.epsilon;
@@ -626,14 +551,20 @@ impl Tableau {
     }
 
     /// Product-form basis update: pivots `col` (whose basis-coordinate column
-    /// is already in `colbuf`) into `row`.
+    /// is already in `colbuf`) into `row`.  Only the pivot row's non-zero
+    /// entries are eliminated: subtracting an exact zero changes no non-zero
+    /// entry of `B⁻¹`.
     fn pivot(&mut self, row: usize, col: usize) {
         let m = 2 * self.num_bands;
         let pivot = self.colbuf[row];
         debug_assert!(pivot.abs() > 0.0, "zero pivot");
         let inv = 1.0 / pivot;
-        for v in &mut self.binv[row * m..(row + 1) * m] {
+        self.pivot_row.clear();
+        for (k, v) in self.binv[row * m..(row + 1) * m].iter_mut().enumerate() {
             *v *= inv;
+            if *v != 0.0 {
+                self.pivot_row.push((k, *v));
+            }
         }
         self.rhs[row] *= inv;
         for i in 0..m {
@@ -644,20 +575,12 @@ impl Tableau {
             if factor == 0.0 {
                 continue;
             }
-            // Split-borrow the pivot row from the row being updated.
-            let (pivot_row, target_row) = if i < row {
-                let (head, tail) = self.binv.split_at_mut(row * m);
-                (&tail[..m], &mut head[i * m..(i + 1) * m])
-            } else {
-                let (head, tail) = self.binv.split_at_mut(i * m);
-                (&head[row * m..(row + 1) * m], &mut tail[..m])
-            };
-            for (t, p) in target_row.iter_mut().zip(pivot_row.iter()) {
-                *t -= factor * p;
+            let target_row = &mut self.binv[i * m..(i + 1) * m];
+            for &(k, p) in &self.pivot_row {
+                target_row[k] -= factor * p;
             }
             self.rhs[i] -= factor * self.rhs[row];
         }
-        self.binv_is_identity = false;
         self.in_basis[self.basis[row]] = false;
         self.in_basis[col] = true;
         self.basis[row] = col;
@@ -911,7 +834,7 @@ mod tests {
     }
 
     /// Decides `lo ≤ A·x ≤ hi`, `x ≥ 0` through the one-shot two-phase path,
-    /// the reference the warm-started tableau must agree with.
+    /// the reference the band tableau must agree with.
     fn band_feasible_cold(bands: &[Vec<f64>], lo: &[f64], hi: &[f64]) -> bool {
         let mut lp = LinearProgram::new(bands[0].len());
         for (k, band) in bands.iter().enumerate() {
@@ -937,9 +860,9 @@ mod tests {
         assert_eq!(tableau.num_vars(), 2);
         assert_eq!(tableau.num_bands(), 2);
         for (lo, hi) in cases {
-            let warm = tableau.resolve(*lo, *hi).unwrap();
+            let feasible = tableau.resolve(*lo, *hi).unwrap();
             assert_eq!(
-                warm,
+                feasible,
                 band_feasible_cold(&bands, *lo, *hi),
                 "verdict mismatch for lo={lo:?} hi={hi:?}"
             );
@@ -947,41 +870,33 @@ mod tests {
     }
 
     #[test]
-    fn tableau_warm_restart_reuses_basis() {
-        // A drifting sequence of boxes: after the first solve, later solves
-        // should start from the previous basis and still be correct.
+    fn tableau_resolve_does_not_depend_on_earlier_solves() {
+        // A drifting sequence of boxes on one tableau: every resolve starts
+        // from the all-slack basis, so its verdict, flows and multipliers are
+        // bit-identical to a fresh tableau's, and agree with the two-phase
+        // reference.
         let bands = vec![
             vec![2.0, 1.0, 0.0],
             vec![0.0, 1.0, 3.0],
             vec![1.0, 1.0, 1.0],
         ];
-        let mut tableau = Tableau::band(3, &bands);
+        let mut shared = Tableau::band(3, &bands);
         for step in 0..40 {
             let t = step as f64;
             let lo = [5.0 + t, 2.0 + 0.5 * t, 3.0 + t];
             let hi = [7.0 + t, 4.0 + 0.5 * t, 4.0 + t];
-            assert_eq!(
-                tableau.resolve(&lo, &hi).unwrap(),
-                band_feasible_cold(&bands, &lo, &hi),
-                "step {step}"
-            );
+            let mut fresh = Tableau::band(3, &bands);
+            let verdict = shared.resolve(&lo, &hi).unwrap();
+            assert_eq!(verdict, fresh.resolve(&lo, &hi).unwrap(), "step {step}");
+            assert_eq!(verdict, band_feasible_cold(&bands, &lo, &hi), "step {step}");
+            let flows = |t: &Tableau| {
+                t.basic_flows()
+                    .map(|(j, v)| (j, v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(flows(&shared), flows(&fresh), "step {step}");
+            assert_eq!(shared.farkas_multipliers(), fresh.farkas_multipliers());
         }
-    }
-
-    #[test]
-    fn tableau_resolve_with_basis_seeds_a_fresh_tableau() {
-        let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
-        let mut first = Tableau::band(2, &bands);
-        assert!(first.resolve(&[9.0, 3.0], &[11.0, 5.0]).unwrap());
-        let basis: Vec<usize> = first.basis().to_vec();
-
-        let mut second = Tableau::band(2, &bands);
-        assert!(second
-            .resolve_with_basis(&[9.5, 3.5], &[10.5, 4.5], &basis)
-            .unwrap());
-        assert!(!second
-            .resolve_with_basis(&[4.0, 9.0], &[5.0, 10.0], &basis)
-            .unwrap());
     }
 
     #[test]

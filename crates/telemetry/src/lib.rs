@@ -4,8 +4,8 @@
 //! Farkas-certificate pool, the parallel lattice frontier, the multiplexing
 //! campaign runner — reports *what it did* through this crate: how many pivots
 //! each LP solve took, how often a cached certificate refuted an observation
-//! without touching the solver, how often a warm basis handed down the lattice
-//! actually seeded a resolve.  The substrate has three parts:
+//! without touching the solver, how often the tier-1 solver's coefficient
+//! cache was reused.  The substrate has three parts:
 //!
 //! * a **metrics registry** ([`Metric`], [`Histogram`]) of process-global
 //!   atomic counters and log₂-bucketed histograms, aggregated in a stable
@@ -96,23 +96,22 @@ pub enum Metric {
     LpSolves,
     /// Simplex pivots performed while restoring feasibility.
     LpPivots,
-    /// Basis refactorizations (product-form resets to the slack identity).
+    /// Tier-1 basis factorizations rebuilt from the slack identity: when a
+    /// decision engine first builds its solver or rebinds it after a
+    /// coefficient-cache miss, plus the periodic rebuilds.  The cold one-shot
+    /// solve has nothing to refactorize and never counts.
     LpRefactorizations,
-    /// Pivots replayed while re-seating a handed-down basis.
-    LpBasisReplayPivots,
-    /// Lattice evaluations that received a warm basis from a parent model.
-    WarmBasisHandoffHits,
-    /// Lattice evaluations that found no compatible parent basis.
-    WarmBasisHandoffMisses,
     /// Observations refuted by a cached Farkas certificate without an LP solve.
     CertificatePrunes,
     /// Observations settled feasible by a cached witness ray without an LP solve.
     WitnessRaySettlements,
-    /// Batch-feasibility calls that reused the cached coefficient matrix.
+    /// Batch-feasibility solves (tier-1 decisions and cold evidence solves
+    /// alike) that reused the coefficient matrix cached for their axes.
     CoefficientCacheHits,
-    /// Batch-feasibility calls that had to rebuild the coefficient matrix.
+    /// Batch-feasibility solves that had to rebuild the coefficient matrix;
+    /// on a decision engine each one rebinds the one tier-1 solver.
     CoefficientCacheMisses,
-    /// Warm-started solves that failed and fell back to a cold solver chain.
+    /// Tier-1 solves that failed to converge and fell back to the cold solve.
     ColdSolverFallbacks,
     /// Lattice frontier batches dispatched to the worker pool.
     FrontierBatches,
@@ -127,7 +126,7 @@ pub enum Metric {
     /// Schedules whose noise inflation exceeded the warning threshold.
     ScheduleInflationWarnings,
     /// Fast (tier-1) feasibility solves whose verdict margin was too thin and
-    /// were re-run on the exact tier-2 engine.
+    /// were re-run as the cold tier-2 solve.
     LpTier2Escalations,
     /// Harvested certificates or witness rays whose float margin was
     /// near-degenerate and were re-verified in exact rational arithmetic.
@@ -148,13 +147,10 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in stable snapshot order.
-    pub const ALL: [Metric; 23] = [
+    pub const ALL: [Metric; 20] = [
         Metric::LpSolves,
         Metric::LpPivots,
         Metric::LpRefactorizations,
-        Metric::LpBasisReplayPivots,
-        Metric::WarmBasisHandoffHits,
-        Metric::WarmBasisHandoffMisses,
         Metric::CertificatePrunes,
         Metric::WitnessRaySettlements,
         Metric::CoefficientCacheHits,
@@ -180,9 +176,6 @@ impl Metric {
             Metric::LpSolves => "lp_solves",
             Metric::LpPivots => "lp_pivots",
             Metric::LpRefactorizations => "lp_refactorizations",
-            Metric::LpBasisReplayPivots => "lp_basis_replay_pivots",
-            Metric::WarmBasisHandoffHits => "warm_basis_handoff_hits",
-            Metric::WarmBasisHandoffMisses => "warm_basis_handoff_misses",
             Metric::CertificatePrunes => "certificate_prunes",
             Metric::WitnessRaySettlements => "witness_ray_settlements",
             Metric::CoefficientCacheHits => "coefficient_cache_hits",

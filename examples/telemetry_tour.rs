@@ -1,6 +1,6 @@
 //! A tour of the telemetry layer: run a reduced Table 3 model search with a
 //! live recording and read the engine's internals off the metrics snapshot —
-//! certificate-pool hit rates, warm-basis handoffs, LP pivot effort and the
+//! certificate-pool hit rates, tier-2 escalations, LP pivot effort and the
 //! multiplexing-schedule warnings.
 //!
 //! Run with: `cargo run --release --example telemetry_tour`
@@ -82,9 +82,8 @@ fn main() {
         rate(cache_hits, cache_hits + cache_misses)
     );
     println!(
-        "  warm-basis handoffs: {} hits / {} misses, cold-solver fallbacks: {}",
-        counter(Metric::WarmBasisHandoffHits),
-        counter(Metric::WarmBasisHandoffMisses),
+        "  tier-2 escalations: {}, cold-solver fallbacks: {}",
+        counter(Metric::LpTier2Escalations),
         counter(Metric::ColdSolverFallbacks)
     );
 

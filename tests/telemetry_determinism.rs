@@ -11,7 +11,7 @@
 use counterpoint::collect::NOISE_INFLATION_WARN_THRESHOLD;
 use counterpoint::mudd::{CounterSignature, CounterSpace};
 use counterpoint::telemetry::{Metric, Recording};
-use counterpoint::{EventSchedule, FeatureSet, Inquiry, ModelCone, Observation};
+use counterpoint::{BatchFeasibility, EventSchedule, FeatureSet, Inquiry, ModelCone, Observation};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -132,6 +132,46 @@ fn fitting_schedule_records_no_warnings() {
     assert_eq!(snapshot.counter(Metric::ScheduleOversubscribedEvents), 0);
     assert_eq!(snapshot.counter(Metric::ScheduleInflationWarnings), 0);
     assert!(snapshot.warnings.is_empty());
+}
+
+#[test]
+fn each_axes_miss_rebinds_one_tableau() {
+    let _own = claim_sink();
+    // Noisy observations each carry their own principal axes, so every one
+    // that reaches the LP misses the coefficient cache.  A decision engine
+    // keeps one warm solver per axes, so each miss costs exactly one
+    // refactorization; evidence solves are cold and never count one.
+    let cone = ModelCone::from_signatures(
+        "y<=x",
+        &space(2),
+        vec![
+            CounterSignature::from_counts(vec![1, 0]),
+            CounterSignature::from_counts(vec![1, 1]),
+        ],
+        2,
+    );
+    let observations: Vec<Observation> = (0..12)
+        .map(|i| {
+            let base = 900.0 + 37.0 * i as f64;
+            let offset = -2.0 + 0.7 * i as f64;
+            let samples: Vec<Vec<f64>> = (0..24)
+                .map(|s| {
+                    let wiggle = (s % 7) as f64 - 3.0;
+                    vec![base + (s % 5) as f64, base + offset + wiggle]
+                })
+                .collect();
+            Observation::from_samples(&format!("noisy-{i}"), &samples, 0.99)
+        })
+        .collect();
+    let recording = Recording::start();
+    let _ = BatchFeasibility::new(&cone).check_all(&observations);
+    let snapshot = recording.finish();
+    let misses = snapshot.counter(Metric::CoefficientCacheMisses);
+    assert!(
+        misses >= 2,
+        "the sweep must rebind more than once: {misses}"
+    );
+    assert_eq!(snapshot.counter(Metric::LpRefactorizations), misses);
 }
 
 #[test]
