@@ -1,14 +1,13 @@
 //! Batched vs. per-observation feasibility on the Table 3 campaign.
 //!
 //! This is the benchmark behind the CI perf-regression gate
-//! (`ci/bench_gate.sh`): the `per_observation_*` entries re-run the historical
-//! one-LP-per-observation path, the `batched_*` entries run the
-//! [`BatchFeasibility`] decision path on the same data, and the `_exact`
-//! variants use point observations (shared coordinate axes), where the
-//! (cone, axes) coefficient cache and the tier-1 solver's bounds-only warm
-//! restarts pay off most.
+//! (`ci/bench_gate.sh`): the `checker_*` and `per_observation_*_exact`
+//! entries decide one observation at a time through the checker, the
+//! `batched_*` entries run the [`BatchFeasibility`] decision path on the same
+//! data, and the `_exact` variants use point observations (shared coordinate
+//! axes), where the (cone, axes) coefficient cache and the tier-1 solver's
+//! bounds-only warm restarts pay off most.
 
-use counterpoint::lp::{LinearProgram, Relation};
 use counterpoint::{check_models, BatchFeasibility, FeasibilityChecker, ModelCone, Observation};
 use counterpoint_bench::{experiment_observations, table3_model};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,38 +21,6 @@ fn count_infeasible_per_observation(
     observations
         .iter()
         .filter(|o| !checker.is_feasible(o))
-        .count()
-}
-
-/// The historical per-observation baseline: the exact formulation
-/// `FeasibilityChecker::is_feasible` shipped before the batched engine — a
-/// dense `axis · generator` matmul per observation feeding a cold two-phase
-/// primal simplex through `LinearProgram`.
-fn count_infeasible_historical(cone: &ModelCone, observations: &[Observation]) -> usize {
-    let generators: Vec<Vec<f64>> = cone
-        .generator_cone()
-        .generators()
-        .iter()
-        .map(|g| g.to_f64_vec())
-        .collect();
-    let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
-    observations
-        .iter()
-        .filter(|o| {
-            let region = o.region();
-            let scale = region
-                .center()
-                .iter()
-                .fold(1.0f64, |acc, v| acc.max(v.abs()));
-            let mut lp = LinearProgram::new(generators.len());
-            for (axis, width) in region.axes().iter().zip(region.half_widths()) {
-                let coeffs: Vec<f64> = generators.iter().map(|g| dot(axis, g)).collect();
-                let centre_proj = dot(axis, region.center());
-                lp.add_constraint(&coeffs, Relation::Ge, (centre_proj - width) / scale);
-                lp.add_constraint(&coeffs, Relation::Le, (centre_proj + width) / scale);
-            }
-            !lp.is_feasible()
-        })
         .count()
 }
 
@@ -81,9 +48,6 @@ fn bench_batch_feasibility(c: &mut Criterion) {
             "batched and per-observation verdicts diverged on {name}"
         );
 
-        group.bench_function(format!("per_observation_{name}"), |b| {
-            b.iter(|| count_infeasible_historical(&cone, &observations))
-        });
         group.bench_function(format!("checker_{name}"), |b| {
             b.iter(|| count_infeasible_per_observation(&checker, &observations))
         });
@@ -100,20 +64,11 @@ fn bench_batch_feasibility(c: &mut Criterion) {
 
     // The full Table 3 campaign: the whole m0–m11 model family against the
     // observation set, exactly what the experiments binary's `table3` run
-    // evaluates.  The baseline is the historical sequential per-observation
-    // sweep; the batched run uses the campaign fan-out (`check_models`) at one
-    // worker so the number is comparable across hosts with any core count
-    // (extra workers only help further).
+    // evaluates, through the campaign fan-out (`check_models`) at one worker
+    // so the number is comparable across hosts with any core count (extra
+    // workers only help further).
     let family: Vec<ModelCone> = (0..12).map(|i| table3_model(&format!("m{i}"))).collect();
     let family_refs: Vec<&ModelCone> = family.iter().collect();
-    group.bench_function("table3_family_per_observation", |b| {
-        b.iter(|| {
-            family
-                .iter()
-                .map(|cone| count_infeasible_historical(cone, &observations))
-                .collect::<Vec<_>>()
-        })
-    });
     group.bench_function("table3_family_batched", |b| {
         b.iter(|| check_models(&family_refs, &observations, 1))
     });

@@ -1,6 +1,6 @@
-//! Substrate benchmarks: μpath enumeration, MMU simulation throughput, PMU
-//! sampling and the LP solver — the building blocks whose costs determine the
-//! end-to-end numbers of Figure 9.
+//! Substrate benchmarks: μpath enumeration, MMU simulation throughput and PMU
+//! sampling — the building blocks whose costs determine the end-to-end numbers
+//! of Figure 9.
 
 use counterpoint::models::family::{build_feature_model, feature_sets_table3};
 use counterpoint::workloads::{LinearAccess, RandomAccess, Workload};
@@ -8,7 +8,6 @@ use counterpoint_haswell::mem::PageSize;
 use counterpoint_haswell::mmu::{HaswellMmu, MmuConfig};
 use counterpoint_haswell::pmu::{MultiplexingPmu, PmuConfig};
 use counterpoint_haswell::{full_counter_space, AccessType, EventId};
-use counterpoint_lp::{LinearProgram, Relation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_mudd_enumeration(c: &mut Criterion) {
@@ -68,26 +67,10 @@ fn bench_pmu_sampling(c: &mut Criterion) {
     });
 }
 
-fn bench_lp_solver(c: &mut Criterion) {
-    // A feasibility problem of the same shape as the Appendix A LP: ~200 flow
-    // variables and 52 box constraints.
-    let vars = 200usize;
-    let mut lp = LinearProgram::new(vars);
-    for k in 0..26 {
-        let coeffs: Vec<f64> = (0..vars).map(|p| ((p + k) % 4) as f64).collect();
-        lp.add_constraint(&coeffs, Relation::Ge, 50.0);
-        lp.add_constraint(&coeffs, Relation::Le, 5_000.0);
-    }
-    c.bench_function("lp_feasibility_200vars_52constraints", |b| {
-        b.iter(|| lp.is_feasible());
-    });
-}
-
 criterion_group!(
     benches,
     bench_mudd_enumeration,
     bench_mmu_simulation,
-    bench_pmu_sampling,
-    bench_lp_solver
+    bench_pmu_sampling
 );
 criterion_main!(benches);

@@ -411,7 +411,6 @@ fn fig1c(accesses: usize) -> JsonValue {
     // walk merging on this workload).  Checked against the m0-style cone projected
     // onto the Ret+Walk counters.
     let m0 = table3_model("m0");
-    let checker_space: Vec<String> = space.names().to_vec();
     println!(
         "{:>10} {:>22} {:>28}",
         "counters", "relative noise (CV)", "violation detected (m0)"
@@ -462,7 +461,6 @@ fn fig1c(accesses: usize) -> JsonValue {
             ("detected_runs".to_string(), detected_runs.to_value()),
             ("total_runs".to_string(), seeds.len().to_value()),
         ]));
-        let _ = &checker_space;
     }
     JsonValue::Array(rows)
 }

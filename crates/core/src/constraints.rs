@@ -9,7 +9,7 @@
 
 use crate::cone::ModelCone;
 use counterpoint_geometry::{ConeConstraint, GeneratorCone};
-use counterpoint_lp::{LinearProgram, Relation};
+use counterpoint_lp::Tableau;
 use counterpoint_mudd::CounterSpace;
 use counterpoint_numeric::RatVector;
 use serde::Serialize;
@@ -154,20 +154,14 @@ impl ConstraintSet {
     }
 }
 
-/// Deduces the model constraints of a cone (with redundant-generator removal).
-pub fn deduce_constraints(cone: &ModelCone) -> ConstraintSet {
-    deduce_constraints_with_options(cone, true)
-}
-
 /// Deduces the model constraints of a cone.
 ///
-/// When `remove_redundant` is set, generators expressible as non-negative
-/// combinations of the others are dropped before the conic-hull computation — the
-/// paper's step 3, which keeps the double-description method fast for models with
-/// many μpaths.
-pub fn deduce_constraints_with_options(cone: &ModelCone, remove_redundant: bool) -> ConstraintSet {
+/// Generators expressible as non-negative combinations of the others are
+/// dropped before the conic-hull computation — the paper's step 3, which keeps
+/// the double-description method fast for models with many μpaths.
+pub fn deduce_constraints(cone: &ModelCone) -> ConstraintSet {
     let generators = cone.generator_cone().generators().to_vec();
-    let reduced = if remove_redundant && generators.len() > 2 {
+    let reduced = if generators.len() > 2 {
         remove_redundant_generators(&generators)
     } else {
         generators
@@ -197,7 +191,9 @@ pub fn deduce_constraints_with_options(cone: &ModelCone, remove_redundant: bool)
 /// Removes generators that are non-negative combinations of the remaining ones.
 ///
 /// Uses an LP feasibility test per generator (the paper identifies interior
-/// signatures with linear programming).  The surviving set generates the same cone.
+/// signatures with linear programming).  The surviving set generates the same
+/// cone: a generator whose test does not converge is kept, and keeping a
+/// redundant generator changes neither the cone nor its constraints.
 pub fn remove_redundant_generators(generators: &[RatVector]) -> Vec<RatVector> {
     let mut keep: Vec<bool> = vec![true; generators.len()];
     for i in 0..generators.len() {
@@ -222,15 +218,17 @@ pub fn remove_redundant_generators(generators: &[RatVector]) -> Vec<RatVector> {
         .collect()
 }
 
-/// LP feasibility: is `target` a non-negative combination of `generators`?
+/// Is `target` a non-negative combination of `generators`?  Decided on the
+/// cold band tableau as the system `target ≤ G·x ≤ target`, one band per
+/// counter coordinate; a solve that does not converge answers `false`.
 fn in_cone_of(target: &RatVector, generators: &[&RatVector]) -> bool {
-    let dim = target.len();
-    let mut lp = LinearProgram::new(generators.len());
-    for d in 0..dim {
-        let coeffs: Vec<f64> = generators.iter().map(|g| g[d].to_f64()).collect();
-        lp.add_constraint(&coeffs, Relation::Eq, target[d].to_f64());
-    }
-    lp.is_feasible()
+    let bands: Vec<Vec<f64>> = (0..target.len())
+        .map(|d| generators.iter().map(|g| g[d].to_f64()).collect())
+        .collect();
+    let point = target.to_f64_vec();
+    Tableau::band(generators.len(), &bands)
+        .resolve(&point, &point)
+        .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -314,10 +312,11 @@ mod tests {
     #[test]
     fn constraint_deduction_with_and_without_reduction_agree() {
         let cone = figure3a_cone();
-        let a = deduce_constraints_with_options(&cone, true);
-        let b = deduce_constraints_with_options(&cone, false);
-        let mut ta: Vec<String> = a.all_named().map(|c| c.text().to_string()).collect();
-        let mut tb: Vec<String> = b.all_named().map(|c| c.text().to_string()).collect();
+        let reduced = deduce_constraints(&cone);
+        let all = GeneratorCone::new(cone.generator_cone().generators().to_vec()).facets();
+        let names = cone.counters().name_refs();
+        let mut ta: Vec<String> = reduced.all_named().map(|c| c.text().to_string()).collect();
+        let mut tb: Vec<String> = all.all().iter().map(|c| c.render(&names)).collect();
         ta.sort();
         tb.sort();
         assert_eq!(ta, tb);

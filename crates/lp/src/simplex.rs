@@ -1,61 +1,13 @@
-//! Two-phase dense primal simplex.
+//! The cold band-feasibility engine: a revised dual simplex over
+//! `lo ≤ A·x ≤ hi`, `x ≥ 0`, restarted from the all-slack basis on every
+//! solve.
 
 use counterpoint_telemetry as telemetry;
 use std::fmt;
 
-/// Relation of a linear constraint to its right-hand side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Relation {
-    /// `coeffs · x ≤ rhs`
-    Le,
-    /// `coeffs · x ≥ rhs`
-    Ge,
-    /// `coeffs · x = rhs`
-    Eq,
-}
-
-/// Outcome of solving a linear program.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LpOutcome {
-    /// An optimal solution was found.
-    Optimal {
-        /// Objective value at the optimum (in the user's orientation: the maximum
-        /// for maximisation problems, the minimum for minimisation problems).
-        objective: f64,
-        /// Values of the structural variables.
-        solution: Vec<f64>,
-    },
-    /// No point satisfies all constraints (with `x ≥ 0`).
-    Infeasible,
-    /// The objective is unbounded over the feasible region.
-    Unbounded,
-}
-
-impl LpOutcome {
-    /// Returns `true` if the program has at least one feasible point.
-    pub fn is_feasible(&self) -> bool {
-        !matches!(self, LpOutcome::Infeasible)
-    }
-
-    /// Returns the solution vector if an optimum was found.
-    pub fn solution(&self) -> Option<&[f64]> {
-        match self {
-            LpOutcome::Optimal { solution, .. } => Some(solution),
-            _ => None,
-        }
-    }
-}
-
-/// Errors raised while building or solving a linear program.
+/// Errors raised while solving a linear program.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LpError {
-    /// A coefficient vector did not match the declared number of variables.
-    DimensionMismatch {
-        /// Declared number of structural variables.
-        expected: usize,
-        /// Length of the offending coefficient vector.
-        found: usize,
-    },
     /// The simplex iteration limit was exceeded (numerical cycling).
     IterationLimit,
 }
@@ -63,150 +15,12 @@ pub enum LpError {
 impl fmt::Display for LpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LpError::DimensionMismatch { expected, found } => {
-                write!(
-                    f,
-                    "coefficient vector has length {found}, expected {expected}"
-                )
-            }
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
         }
     }
 }
 
 impl std::error::Error for LpError {}
-
-#[derive(Clone, Debug)]
-struct RowConstraint {
-    coeffs: Vec<f64>,
-    relation: Relation,
-    rhs: f64,
-}
-
-/// A linear program over non-negative structural variables.
-///
-/// All variables are implicitly constrained to `x ≥ 0`, which matches the
-/// CounterPoint formulation exactly: μpath flows and counter values are
-/// non-negative by definition (negative flows of μops are impossible).
-#[derive(Clone, Debug)]
-pub struct LinearProgram {
-    num_vars: usize,
-    constraints: Vec<RowConstraint>,
-    /// Minimisation objective over the structural variables.
-    objective: Vec<f64>,
-    /// `true` if the user asked to maximise (the sign of the reported optimum is
-    /// flipped back on return).
-    maximise: bool,
-    epsilon: f64,
-    max_iterations: usize,
-}
-
-impl LinearProgram {
-    /// Creates an empty program with `num_vars` non-negative structural variables
-    /// and a zero objective (a pure feasibility problem).
-    pub fn new(num_vars: usize) -> LinearProgram {
-        LinearProgram {
-            num_vars,
-            constraints: Vec::new(),
-            objective: vec![0.0; num_vars],
-            maximise: false,
-            epsilon: 1e-9,
-            max_iterations: 50_000,
-        }
-    }
-
-    /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Overrides the numerical tolerance (default `1e-9`).
-    pub fn set_epsilon(&mut self, epsilon: f64) {
-        self.epsilon = epsilon;
-    }
-
-    /// Overrides the simplex iteration limit (default 50 000).
-    pub fn set_max_iterations(&mut self, limit: usize) {
-        self.max_iterations = limit;
-    }
-
-    /// Adds the constraint `coeffs · x (relation) rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != num_vars`.
-    pub fn add_constraint(&mut self, coeffs: &[f64], relation: Relation, rhs: f64) {
-        assert_eq!(
-            coeffs.len(),
-            self.num_vars,
-            "constraint has {} coefficients, expected {}",
-            coeffs.len(),
-            self.num_vars
-        );
-        self.constraints.push(RowConstraint {
-            coeffs: coeffs.to_vec(),
-            relation,
-            rhs,
-        });
-    }
-
-    /// Sets a minimisation objective `min coeffs · x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != num_vars`.
-    pub fn set_objective_minimize(&mut self, coeffs: &[f64]) {
-        assert_eq!(coeffs.len(), self.num_vars, "objective dimension mismatch");
-        self.objective = coeffs.to_vec();
-        self.maximise = false;
-    }
-
-    /// Sets a maximisation objective `max coeffs · x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != num_vars`.
-    pub fn set_objective_maximize(&mut self, coeffs: &[f64]) {
-        assert_eq!(coeffs.len(), self.num_vars, "objective dimension mismatch");
-        self.objective = coeffs.iter().map(|c| -c).collect();
-        self.maximise = true;
-    }
-
-    /// Solves the program with the two-phase simplex method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iteration limit is exceeded (which indicates pathological
-    /// cycling; the limit is far above anything CounterPoint's problem sizes need).
-    /// Use [`LinearProgram::try_solve`] for a non-panicking variant.
-    pub fn solve(&self) -> LpOutcome {
-        self.try_solve().expect("simplex iteration limit exceeded")
-    }
-
-    /// Solves the program, returning an error instead of panicking if the iteration
-    /// limit is exceeded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::IterationLimit`] if the solver fails to converge.
-    pub fn try_solve(&self) -> Result<LpOutcome, LpError> {
-        DenseTableau::build_and_solve(self)
-    }
-
-    /// Convenience: returns `true` if the constraint system admits any solution
-    /// with `x ≥ 0` (the objective is ignored).
-    pub fn is_feasible(&self) -> bool {
-        let mut copy = self.clone();
-        copy.objective = vec![0.0; copy.num_vars];
-        copy.maximise = false;
-        copy.solve().is_feasible()
-    }
-}
 
 /// A revised dual-simplex engine for *band feasibility* systems
 /// `lo ≤ A·x ≤ hi` over `x ≥ 0`, solved cold.
@@ -219,6 +33,11 @@ impl LinearProgram {
 /// verdict, basic flows and Farkas multipliers depend on the band matrix and
 /// the bounds alone — never on an earlier solve.  The warm-started decision
 /// engine is [`FactorTableau`](crate::FactorTableau).
+///
+/// Constraint deduction asks the same question with `lo = hi`: a generator is
+/// redundant when it is a non-negative combination of the others, i.e. when
+/// the band system whose columns are the other generators pins every counter
+/// coordinate to the generator's own.
 ///
 /// Conceptually each band `k` contributes two rows:
 ///
@@ -415,9 +234,11 @@ impl Tableau {
     fn restore_feasibility_counted(&mut self, pivots: &mut u64) -> Result<bool, LpError> {
         self.infeasible_row = None;
         let m = 2 * self.num_bands;
-        // Accept residual per-row violations up to the same threshold the
-        // two-phase solver applies to its phase-1 optimum, so both paths agree
-        // on borderline systems.
+        // Accept residual per-row violations up to 1e-7 even under a tighter
+        // `epsilon`: pivoting leaves round-off of about that size in `B⁻¹·b`,
+        // and a system whose bounds lie exactly on the cone's boundary (a
+        // cone-membership test has `lo = hi`) must not read as infeasible
+        // because of it.
         let tol = self.epsilon.max(1e-7);
         let mut iterations = 0usize;
         loop {
@@ -587,285 +408,76 @@ impl Tableau {
     }
 }
 
-/// Dense simplex tableau.
-struct DenseTableau {
-    /// rows x cols coefficient matrix (structural + slack + artificial columns).
-    rows: Vec<Vec<f64>>,
-    rhs: Vec<f64>,
-    /// Index of the basic variable for each row.
-    basis: Vec<usize>,
-    num_structural: usize,
-    num_total: usize,
-    artificial_start: usize,
-    epsilon: f64,
-    max_iterations: usize,
-}
-
-impl DenseTableau {
-    fn build_and_solve(lp: &LinearProgram) -> Result<LpOutcome, LpError> {
-        let m = lp.constraints.len();
-        let n = lp.num_vars;
-
-        // Count extra columns: one slack/surplus per inequality, one artificial per
-        // Ge/Eq row (after rhs normalisation).
-        let mut norm: Vec<RowConstraint> = Vec::with_capacity(m);
-        for c in &lp.constraints {
-            let mut c = c.clone();
-            if c.rhs < 0.0 {
-                c.rhs = -c.rhs;
-                for v in &mut c.coeffs {
-                    *v = -*v;
-                }
-                c.relation = match c.relation {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                };
-            }
-            norm.push(c);
-        }
-
-        let num_slack = norm.iter().filter(|c| c.relation != Relation::Eq).count();
-        let num_artificial = norm.iter().filter(|c| c.relation != Relation::Le).count();
-        let num_total = n + num_slack + num_artificial;
-        let artificial_start = n + num_slack;
-
-        let mut rows = vec![vec![0.0; num_total]; m];
-        let mut rhs = vec![0.0; m];
-        let mut basis = vec![0usize; m];
-
-        let mut slack_idx = n;
-        let mut art_idx = artificial_start;
-        for (i, c) in norm.iter().enumerate() {
-            rows[i][..n].copy_from_slice(&c.coeffs);
-            rhs[i] = c.rhs;
-            match c.relation {
-                Relation::Le => {
-                    rows[i][slack_idx] = 1.0;
-                    basis[i] = slack_idx;
-                    slack_idx += 1;
-                }
-                Relation::Ge => {
-                    rows[i][slack_idx] = -1.0;
-                    slack_idx += 1;
-                    rows[i][art_idx] = 1.0;
-                    basis[i] = art_idx;
-                    art_idx += 1;
-                }
-                Relation::Eq => {
-                    rows[i][art_idx] = 1.0;
-                    basis[i] = art_idx;
-                    art_idx += 1;
-                }
-            }
-        }
-
-        let mut tableau = DenseTableau {
-            rows,
-            rhs,
-            basis,
-            num_structural: n,
-            num_total,
-            artificial_start,
-            epsilon: lp.epsilon,
-            max_iterations: lp.max_iterations,
-        };
-
-        // Phase 1: minimise the sum of artificial variables.
-        if num_artificial > 0 {
-            let mut phase1_cost = vec![0.0; num_total];
-            for slot in phase1_cost.iter_mut().skip(artificial_start) {
-                *slot = 1.0;
-            }
-            let value = tableau.optimize(&phase1_cost, true)?;
-            if value > lp.epsilon.max(1e-7) {
-                return Ok(LpOutcome::Infeasible);
-            }
-            tableau.drive_out_artificials();
-        }
-
-        // Phase 2: minimise the user objective (artificials barred from entering).
-        let mut cost = vec![0.0; num_total];
-        cost[..n].copy_from_slice(&lp.objective);
-        let value = match tableau.optimize(&cost, false)? {
-            v if v.is_finite() => v,
-            _ => return Ok(LpOutcome::Unbounded),
-        };
-        if value.is_nan() {
-            return Ok(LpOutcome::Unbounded);
-        }
-        // Unbounded is signalled by optimize returning f64::NEG_INFINITY.
-        if value == f64::NEG_INFINITY {
-            return Ok(LpOutcome::Unbounded);
-        }
-
-        let mut solution = vec![0.0; n];
-        for (row, &b) in tableau.basis.iter().enumerate() {
-            if b < n {
-                solution[b] = tableau.rhs[row];
-            }
-        }
-        let objective = if lp.maximise { -value } else { value };
-        Ok(LpOutcome::Optimal {
-            objective,
-            solution,
-        })
-    }
-
-    /// Runs primal simplex minimising `cost`; returns the optimal objective value,
-    /// `f64::NEG_INFINITY` if unbounded.
-    fn optimize(&mut self, cost: &[f64], phase_one: bool) -> Result<f64, LpError> {
-        // Reduced costs are computed on demand from the basis: z_j - c_j.
-        let mut iterations = 0usize;
-        loop {
-            iterations += 1;
-            if iterations > self.max_iterations {
-                return Err(LpError::IterationLimit);
-            }
-            let use_bland = iterations > self.max_iterations / 2;
-
-            // Compute simplex multipliers implicitly: reduced cost of column j is
-            // c_j - sum_i c_B[i] * rows[i][j].
-            let cb: Vec<f64> = self.basis.iter().map(|&b| cost[b]).collect();
-
-            let mut entering: Option<usize> = None;
-            let mut best = -self.epsilon;
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..self.num_total {
-                // In phase 2, artificial variables may never re-enter the basis.
-                if !phase_one && j >= self.artificial_start {
-                    continue;
-                }
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let zj: f64 = (0..self.rows.len()).map(|i| cb[i] * self.rows[i][j]).sum();
-                let reduced = cost[j] - zj;
-                if use_bland {
-                    if reduced < -self.epsilon {
-                        entering = Some(j);
-                        break;
-                    }
-                } else if reduced < best {
-                    best = reduced;
-                    entering = Some(j);
-                }
-            }
-
-            let Some(enter) = entering else {
-                // Optimal: compute objective value.
-                let value: f64 = (0..self.rows.len()).map(|i| cb[i] * self.rhs[i]).sum();
-                return Ok(value);
-            };
-
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for i in 0..self.rows.len() {
-                let a = self.rows[i][enter];
-                if a > self.epsilon {
-                    let ratio = self.rhs[i] / a;
-                    if ratio < best_ratio - self.epsilon
-                        || (use_bland
-                            && (ratio - best_ratio).abs() <= self.epsilon
-                            && leave.is_some_and(|l| self.basis[i] < self.basis[l]))
-                    {
-                        best_ratio = ratio;
-                        leave = Some(i);
-                    }
-                }
-            }
-
-            let Some(leave) = leave else {
-                return Ok(f64::NEG_INFINITY);
-            };
-
-            self.pivot(leave, enter);
-        }
-    }
-
-    fn pivot(&mut self, row: usize, col: usize) {
-        let pivot = self.rows[row][col];
-        debug_assert!(pivot.abs() > 0.0, "zero pivot");
-        for j in 0..self.num_total {
-            self.rows[row][j] /= pivot;
-        }
-        self.rhs[row] /= pivot;
-        for i in 0..self.rows.len() {
-            if i == row {
-                continue;
-            }
-            let factor = self.rows[i][col];
-            if factor == 0.0 {
-                continue;
-            }
-            for j in 0..self.num_total {
-                self.rows[i][j] -= factor * self.rows[row][j];
-            }
-            self.rhs[i] -= factor * self.rhs[row];
-        }
-        self.basis[row] = col;
-    }
-
-    /// After phase 1, pivots any artificial variable still sitting in the basis (at
-    /// value zero) out, if a non-artificial column with a non-zero coefficient
-    /// exists in its row; otherwise the row is redundant and left alone.
-    fn drive_out_artificials(&mut self) {
-        for row in 0..self.rows.len() {
-            if self.basis[row] < self.artificial_start {
-                continue;
-            }
-            let replacement = (0..self.artificial_start)
-                .find(|&j| self.rows[row][j].abs() > self.epsilon && !self.basis.contains(&j));
-            if let Some(col) = replacement {
-                self.pivot(row, col);
-            }
-        }
-        let _ = self.num_structural;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn assert_close(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
+    /// Resolves `lo ≤ A·x ≤ hi` on `tableau`, asserts the verdict, and checks
+    /// the evidence behind it: a feasible verdict's clamped basic flows satisfy
+    /// every band, and an infeasible verdict's Farkas multipliers `π` are
+    /// non-negative, price every flow column non-negatively and give
+    /// `π·b < 0`.  A checked certificate proves the verdict on its own.
+    fn check_on(tableau: &mut Tableau, bands: &[Vec<f64>], lo: &[f64], hi: &[f64], feasible: bool) {
+        const TOL: f64 = 1e-7;
+        let verdict = tableau.resolve(lo, hi).unwrap();
+        assert_eq!(verdict, feasible, "verdict for lo={lo:?} hi={hi:?}");
+        if verdict {
+            assert!(tableau.farkas_multipliers().is_none());
+            let mut x = vec![0.0; tableau.num_vars()];
+            for (j, v) in tableau.basic_flows() {
+                x[j] = v.max(0.0);
+            }
+            for (k, band) in bands.iter().enumerate() {
+                let ax: f64 = band.iter().zip(&x).map(|(a, x)| a * x).sum();
+                assert!(
+                    lo[k] - TOL <= ax && ax <= hi[k] + TOL,
+                    "band {k}: {ax} outside [{}, {}] at x={x:?}",
+                    lo[k],
+                    hi[k]
+                );
+            }
+        } else {
+            // Row 2k is `−A_k·x + s = −lo_k`, row 2k+1 is `A_k·x + s = hi_k`.
+            let pi = tableau.farkas_multipliers().expect("a certificate");
+            assert!(pi.iter().all(|&p| p >= -TOL), "negative multiplier {pi:?}");
+            for j in 0..tableau.num_vars() {
+                let price: f64 = bands
+                    .iter()
+                    .enumerate()
+                    .map(|(k, band)| (pi[2 * k + 1] - pi[2 * k]) * band[j])
+                    .sum();
+                assert!(price >= -TOL, "column {j} priced {price}");
+            }
+            let pi_b: f64 = (0..bands.len())
+                .map(|k| pi[2 * k + 1] * hi[k] - pi[2 * k] * lo[k])
+                .sum();
+            assert!(pi_b < 0.0, "π·b = {pi_b} does not separate");
+        }
     }
 
-    /// Decides `lo ≤ A·x ≤ hi`, `x ≥ 0` through the one-shot two-phase path,
-    /// the reference the band tableau must agree with.
-    fn band_feasible_cold(bands: &[Vec<f64>], lo: &[f64], hi: &[f64]) -> bool {
-        let mut lp = LinearProgram::new(bands[0].len());
-        for (k, band) in bands.iter().enumerate() {
-            lp.add_constraint(band, Relation::Ge, lo[k]);
-            lp.add_constraint(band, Relation::Le, hi[k]);
-        }
-        lp.is_feasible()
+    /// [`check_on`] on a fresh tableau.
+    fn check(bands: &[Vec<f64>], lo: &[f64], hi: &[f64], feasible: bool) {
+        let mut tableau = Tableau::band(bands[0].len(), bands);
+        check_on(&mut tableau, bands, lo, hi, feasible);
     }
 
     #[test]
-    fn tableau_band_matches_cold_solver() {
+    fn tableau_band_verdicts_carry_checked_evidence() {
         // Cone generated by (1, 0) and (1, 1): y ≤ x over the non-negative
         // quadrant, probed through a batch of boxes.
         let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
-        let cases: &[(&[f64; 2], &[f64; 2])] = &[
-            (&[9.0, 3.0], &[11.0, 5.0]),   // strictly inside
-            (&[9.0, 9.5], &[10.0, 10.5]),  // straddles the y = x facet
-            (&[4.0, 9.0], &[5.0, 10.0]),   // y > x everywhere: infeasible
-            (&[0.0, 0.0], &[0.0, 0.0]),    // the origin
-            (&[-2.0, -1.0], &[-1.0, 1.0]), // x forced negative: infeasible
+        let cases: &[([f64; 2], [f64; 2], bool)] = &[
+            ([9.0, 3.0], [11.0, 5.0], true),    // strictly inside
+            ([9.0, 9.5], [10.0, 10.5], true),   // straddles the y = x facet
+            ([4.0, 9.0], [5.0, 10.0], false),   // y > x everywhere
+            ([0.0, 0.0], [0.0, 0.0], true),     // the origin
+            ([-2.0, -1.0], [-1.0, 1.0], false), // x forced negative
         ];
         let mut tableau = Tableau::band(2, &bands);
         assert_eq!(tableau.num_vars(), 2);
         assert_eq!(tableau.num_bands(), 2);
-        for (lo, hi) in cases {
-            let feasible = tableau.resolve(*lo, *hi).unwrap();
-            assert_eq!(
-                feasible,
-                band_feasible_cold(&bands, *lo, *hi),
-                "verdict mismatch for lo={lo:?} hi={hi:?}"
-            );
+        for (lo, hi, feasible) in cases {
+            check_on(&mut tableau, &bands, lo, hi, *feasible);
         }
     }
 
@@ -873,22 +485,22 @@ mod tests {
     fn tableau_resolve_does_not_depend_on_earlier_solves() {
         // A drifting sequence of boxes on one tableau: every resolve starts
         // from the all-slack basis, so its verdict, flows and multipliers are
-        // bit-identical to a fresh tableau's, and agree with the two-phase
-        // reference.
+        // bit-identical to a fresh tableau's, and carry checked evidence.
         let bands = vec![
             vec![2.0, 1.0, 0.0],
             vec![0.0, 1.0, 3.0],
             vec![1.0, 1.0, 1.0],
         ];
         let mut shared = Tableau::band(3, &bands);
+        let mut verdicts = [0usize; 2];
         for step in 0..40 {
             let t = step as f64;
             let lo = [5.0 + t, 2.0 + 0.5 * t, 3.0 + t];
             let hi = [7.0 + t, 4.0 + 0.5 * t, 4.0 + t];
             let mut fresh = Tableau::band(3, &bands);
-            let verdict = shared.resolve(&lo, &hi).unwrap();
-            assert_eq!(verdict, fresh.resolve(&lo, &hi).unwrap(), "step {step}");
-            assert_eq!(verdict, band_feasible_cold(&bands, &lo, &hi), "step {step}");
+            let verdict = fresh.resolve(&lo, &hi).unwrap();
+            verdicts[usize::from(verdict)] += 1;
+            check_on(&mut shared, &bands, &lo, &hi, verdict);
             let flows = |t: &Tableau| {
                 t.basic_flows()
                     .map(|(j, v)| (j, v.to_bits()))
@@ -897,6 +509,9 @@ mod tests {
             assert_eq!(flows(&shared), flows(&fresh), "step {step}");
             assert_eq!(shared.farkas_multipliers(), fresh.farkas_multipliers());
         }
+        // The drift crosses from feasible boxes into infeasible ones, so both
+        // kinds of evidence are checked.
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
     }
 
     #[test]
@@ -911,10 +526,9 @@ mod tests {
     fn tableau_handles_degenerate_equal_bounds() {
         // lo == hi pins the band exactly: x + y = 10 with y ∈ [0, 4].
         let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
-        let mut tableau = Tableau::band(2, &bands);
-        assert!(tableau.resolve(&[10.0, 0.0], &[10.0, 4.0]).unwrap());
+        check(&bands, &[10.0, 0.0], &[10.0, 4.0], true);
         // x + y = 10 with y ≥ 12 is impossible.
-        assert!(!tableau.resolve(&[10.0, 12.0], &[10.0, 14.0]).unwrap());
+        check(&bands, &[10.0, 12.0], &[10.0, 14.0], false);
     }
 
     #[test]
@@ -931,196 +545,122 @@ mod tests {
     }
 
     #[test]
+    fn cone_membership_as_lp() {
+        // Is (5, 2) a non-negative combination of (1, 0) and (1, 1)?  Yes:
+        // 3·(1, 0) + 2·(1, 1).  Each counter coordinate is one band, lo = hi.
+        let bands = vec![vec![1.0, 1.0], vec![0.0, 1.0]];
+        check(&bands, &[5.0, 2.0], &[5.0, 2.0], true);
+        // Is (1, 2)?  No: it would need negative flow on (1, 0).
+        check(&bands, &[1.0, 2.0], &[1.0, 2.0], false);
+    }
+
+    #[test]
     fn simple_maximisation() {
-        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> optimum 36 at (2, 6).
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0, 0.0], Relation::Le, 4.0);
-        lp.add_constraint(&[0.0, 2.0], Relation::Le, 12.0);
-        lp.add_constraint(&[3.0, 2.0], Relation::Le, 18.0);
-        lp.set_objective_maximize(&[3.0, 5.0]);
-        match lp.solve() {
-            LpOutcome::Optimal {
-                objective,
-                solution,
-            } => {
-                assert_close(objective, 36.0);
-                assert_close(solution[0], 2.0);
-                assert_close(solution[1], 6.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 has optimum 36 at
+        // (2, 6): the objective band [36, 36] is feasible, [36.01, ∞) is not.
+        let bands = vec![
+            vec![1.0, 0.0],
+            vec![0.0, 2.0],
+            vec![3.0, 2.0],
+            vec![3.0, 5.0],
+        ];
+        check(
+            &bands,
+            &[0.0, 0.0, 0.0, 36.0],
+            &[4.0, 12.0, 18.0, 36.0],
+            true,
+        );
+        check(
+            &bands,
+            &[0.0, 0.0, 0.0, 36.01],
+            &[4.0, 12.0, 18.0, 1e6],
+            false,
+        );
     }
 
     #[test]
     fn simple_minimisation_with_ge() {
-        // min 2x + 3y s.t. x + y >= 4, x >= 1 -> optimum at (4, 0) value 8.
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0, 1.0], Relation::Ge, 4.0);
-        lp.add_constraint(&[1.0, 0.0], Relation::Ge, 1.0);
-        lp.set_objective_minimize(&[2.0, 3.0]);
-        match lp.solve() {
-            LpOutcome::Optimal {
-                objective,
-                solution,
-            } => {
-                assert_close(objective, 8.0);
-                assert_close(solution[0], 4.0);
-                assert_close(solution[1], 0.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // min 2x + 3y s.t. x + y ≥ 4, x ≥ 1 has optimum 8 at (4, 0).
+        let bands = vec![vec![1.0, 1.0], vec![1.0, 0.0], vec![2.0, 3.0]];
+        check(&bands, &[4.0, 1.0, 0.0], &[1e6, 1e6, 8.0], true);
+        check(&bands, &[4.0, 1.0, 0.0], &[1e6, 1e6, 7.99], false);
     }
 
     #[test]
     fn equality_constraints() {
-        // min x + y s.t. x + 2y = 4, x - y = 1 -> x = 2, y = 1, value 3.
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0, 2.0], Relation::Eq, 4.0);
-        lp.add_constraint(&[1.0, -1.0], Relation::Eq, 1.0);
-        lp.set_objective_minimize(&[1.0, 1.0]);
-        match lp.solve() {
-            LpOutcome::Optimal {
-                objective,
-                solution,
-            } => {
-                assert_close(objective, 3.0);
-                assert_close(solution[0], 2.0);
-                assert_close(solution[1], 1.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // x + 2y = 4, x − y = 1 pins the single solution (2, 1).
+        check(
+            &[vec![1.0, 2.0], vec![1.0, -1.0]],
+            &[4.0, 1.0],
+            &[4.0, 1.0],
+            true,
+        );
     }
 
     #[test]
     fn infeasible_program() {
-        // x <= 1 and x >= 2 cannot both hold.
-        let mut lp = LinearProgram::new(1);
-        lp.add_constraint(&[1.0], Relation::Le, 1.0);
-        lp.add_constraint(&[1.0], Relation::Ge, 2.0);
-        assert_eq!(lp.solve(), LpOutcome::Infeasible);
-        assert!(!lp.is_feasible());
+        // x ≤ 1 and x ≥ 2 cannot both hold.
+        check(&[vec![1.0], vec![1.0]], &[0.0, 2.0], &[1.0, 3.0], false);
     }
 
     #[test]
     fn infeasible_due_to_nonnegativity() {
-        // x + y <= -1 with x, y >= 0 is infeasible.
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0, 1.0], Relation::Le, -1.0);
-        assert_eq!(lp.solve(), LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn unbounded_program() {
-        // max x with only x >= 1 is unbounded.
-        let mut lp = LinearProgram::new(1);
-        lp.add_constraint(&[1.0], Relation::Ge, 1.0);
-        lp.set_objective_maximize(&[1.0]);
-        assert_eq!(lp.solve(), LpOutcome::Unbounded);
+        // x + y ≤ −1 with x, y ≥ 0 is infeasible.
+        check(&[vec![1.0, 1.0]], &[-2.0], &[-1.0], false);
     }
 
     #[test]
     fn pure_feasibility_problem() {
-        let mut lp = LinearProgram::new(3);
-        lp.add_constraint(&[1.0, 1.0, 1.0], Relation::Eq, 10.0);
-        lp.add_constraint(&[1.0, 0.0, 0.0], Relation::Ge, 2.0);
-        lp.add_constraint(&[0.0, 1.0, 0.0], Relation::Le, 5.0);
-        assert!(lp.is_feasible());
-        match lp.solve() {
-            LpOutcome::Optimal { solution, .. } => {
-                let sum: f64 = solution.iter().sum();
-                assert_close(sum, 10.0);
-                assert!(solution[0] >= 2.0 - 1e-7);
-                assert!(solution[1] <= 5.0 + 1e-7);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // x + y + z = 10, x ≥ 2, y ≤ 5.
+        let bands = vec![
+            vec![1.0, 1.0, 1.0],
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+        ];
+        check(&bands, &[10.0, 2.0, 0.0], &[10.0, 10.0, 5.0], true);
     }
 
     #[test]
     fn negative_rhs_is_normalised() {
-        // -x <= -3  <=>  x >= 3.
-        let mut lp = LinearProgram::new(1);
-        lp.add_constraint(&[-1.0], Relation::Le, -3.0);
-        lp.set_objective_minimize(&[1.0]);
-        match lp.solve() {
-            LpOutcome::Optimal { objective, .. } => assert_close(objective, 3.0),
-            other => panic!("unexpected {other:?}"),
-        }
+        // −x ≤ −3 is x ≥ 3: negative coefficients and bounds on both sides.
+        check(&[vec![-1.0]], &[-10.0], &[-3.0], true);
+        // −x ≥ 1 would need x ≤ −1.
+        check(&[vec![-1.0]], &[1.0], &[2.0], false);
     }
 
     #[test]
     fn degenerate_vertex_is_handled() {
-        // Multiple constraints meeting at the same vertex.
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0, 0.0], Relation::Le, 1.0);
-        lp.add_constraint(&[0.0, 1.0], Relation::Le, 1.0);
-        lp.add_constraint(&[1.0, 1.0], Relation::Le, 2.0);
-        lp.add_constraint(&[1.0, -1.0], Relation::Le, 0.0);
-        lp.set_objective_maximize(&[1.0, 1.0]);
-        match lp.solve() {
-            LpOutcome::Optimal { objective, .. } => assert_close(objective, 2.0),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solution_accessor() {
-        let mut lp = LinearProgram::new(1);
-        lp.add_constraint(&[1.0], Relation::Le, 5.0);
-        lp.set_objective_maximize(&[1.0]);
-        let out = lp.solve();
-        assert!(out.is_feasible());
-        assert_close(out.solution().unwrap()[0], 5.0);
-        assert_eq!(LpOutcome::Infeasible.solution(), None);
-    }
-
-    #[test]
-    fn cone_membership_as_lp() {
-        // Is (5, 2) a non-negative combination of (1, 0) and (1, 1)?  (yes: 3, 2)
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0, 1.0], Relation::Eq, 5.0);
-        lp.add_constraint(&[0.0, 1.0], Relation::Eq, 2.0);
-        assert!(lp.is_feasible());
-
-        // Is (1, 2)?  (no: would need negative flow on the first generator)
-        let mut lp2 = LinearProgram::new(2);
-        lp2.add_constraint(&[1.0, 1.0], Relation::Eq, 1.0);
-        lp2.add_constraint(&[0.0, 1.0], Relation::Eq, 2.0);
-        assert!(!lp2.is_feasible());
+        // x ≤ 1, y ≤ 1, x + y = 2 and x − y ≤ 0 all meet at (1, 1).
+        let bands = vec![
+            vec![1.0, 0.0],
+            vec![0.0, 1.0],
+            vec![1.0, 1.0],
+            vec![1.0, -1.0],
+        ];
+        check(&bands, &[0.0, 0.0, 2.0, -1.0], &[1.0, 1.0, 2.0, 0.0], true);
+        check(&bands, &[0.0, 0.0, 2.5, -1.0], &[1.0, 1.0, 3.0, 0.0], false);
     }
 
     #[test]
     fn many_variables_feasibility() {
-        // A wide problem similar in shape to μpath-flow feasibility: 300 flow
-        // variables, 10 equality constraints.
+        // A wide system in the shape of μpath-flow feasibility: 300 flow
+        // variables, 10 bands.
         let n = 300;
-        let mut lp = LinearProgram::new(n);
-        for c in 0..10 {
-            let coeffs: Vec<f64> = (0..n).map(|j| ((j + c) % 5) as f64).collect();
-            lp.add_constraint(&coeffs, Relation::Le, 1000.0);
-        }
-        let obj: Vec<f64> = (0..n).map(|j| (j % 7) as f64).collect();
-        lp.set_objective_maximize(&obj);
-        match lp.solve() {
-            LpOutcome::Optimal { objective, .. } => assert!(objective > 0.0),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 2")]
-    fn wrong_dimension_panics() {
-        let mut lp = LinearProgram::new(2);
-        lp.add_constraint(&[1.0], Relation::Le, 1.0);
+        let bands: Vec<Vec<f64>> = (0..10)
+            .map(|c| (0..n).map(|j| ((j + c) % 5) as f64).collect())
+            .collect();
+        check(&bands, &[500.0; 10], &[1000.0; 10], true);
+        // Bands c and c + 5 have the same coefficients, so band 0 cannot rise
+        // above band 5's ceiling.
+        let mut lo = [0.0; 10];
+        let mut hi = [1000.0; 10];
+        lo[0] = 5000.0;
+        hi[0] = 6000.0;
+        check(&bands, &lo, &hi, false);
     }
 
     #[test]
     fn error_display() {
-        let e = LpError::DimensionMismatch {
-            expected: 3,
-            found: 2,
-        };
-        assert!(e.to_string().contains("expected 3"));
         assert!(LpError::IterationLimit.to_string().contains("iteration"));
     }
 }

@@ -92,9 +92,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// them in this (declaration) order so output is stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
-    /// LP feasibility solves driven to completion by the dual simplex.
+    /// LP feasibility solves driven to completion by the dual simplex: the
+    /// feasibility verdicts and the cone-membership tests of
+    /// redundant-generator removal during constraint deduction.
     LpSolves,
-    /// Simplex pivots performed while restoring feasibility.
+    /// Simplex pivots performed while restoring feasibility, in the same
+    /// solves as [`Metric::LpSolves`].
     LpPivots,
     /// Tier-1 basis factorizations rebuilt from the slack identity: when a
     /// decision engine first builds its solver or rebinds it after a

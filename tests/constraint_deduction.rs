@@ -2,11 +2,13 @@
 //! deduced constraints must include the paper's Table 1 relationships and must
 //! agree with LP feasibility on which observations they reject.
 
+use counterpoint::core::constraints::remove_redundant_generators;
 use counterpoint::haswell::full_counter_space;
 use counterpoint::haswell::hec::cumulative_group_space;
 use counterpoint::models::family::{build_feature_model, feature_sets_table3};
+use counterpoint::numeric::{RatMatrix, RatVector};
 use counterpoint::{deduce_constraints, FeasibilityChecker, Observation};
-use counterpoint_geometry::ConstraintSense;
+use counterpoint_geometry::{ConeFacets, ConstraintSense, GeneratorCone};
 
 fn model(name: &str) -> counterpoint::ModelCone {
     let specs = feature_sets_table3();
@@ -198,4 +200,104 @@ fn full_26_counter_space_has_the_documented_structure() {
     let m4 = model("m4");
     assert_eq!(m4.dimension(), 26);
     assert!(m4.num_paths() > 100);
+}
+
+/// m0–m11 projected onto the first 2 and 3 cumulative counter groups (10 and
+/// 22 counters), the cones the redundancy oracle and the golden cover.
+fn projected_family() -> Vec<(String, counterpoint::ModelCone)> {
+    let mut cones = Vec::new();
+    for groups in [2usize, 3] {
+        let space = cumulative_group_space(groups);
+        for i in 0..12 {
+            let name = format!("m{i}");
+            let cone = model(&name).project(space.names());
+            cones.push((format!("{name} @ {} counters", space.len()), cone));
+        }
+    }
+    cones
+}
+
+/// `true` iff `g` spans an extreme ray of the cone `{x : E·x = 0, F·x ≥ 0}`:
+/// the equalities and the facet normals tight on `g` have rank `d − 1`.
+fn is_extreme(g: &RatVector, facets: &ConeFacets, dim: usize) -> bool {
+    if g.is_zero() {
+        return false;
+    }
+    let tight: Vec<RatVector> = facets
+        .equalities
+        .iter()
+        .map(|c| c.coeffs().clone())
+        .chain(
+            facets
+                .inequalities
+                .iter()
+                .filter(|c| c.evaluate(g).is_zero())
+                .map(|c| c.coeffs().clone()),
+        )
+        .collect();
+    let rank = if tight.is_empty() {
+        0
+    } else {
+        RatMatrix::from_rows(&tight).rank()
+    };
+    rank + 1 == dim
+}
+
+#[test]
+fn redundancy_removal_keeps_exactly_the_extreme_rays() {
+    // The float membership LPs must drop exactly the generators that an exact
+    // rank test on the cone's own facets calls non-extreme.
+    for (label, cone) in projected_family() {
+        let generators = cone.generator_cone().generators().to_vec();
+        let facets = GeneratorCone::new(generators.clone()).facets();
+        let extreme: Vec<RatVector> = generators
+            .iter()
+            .filter(|g| is_extreme(g, &facets, cone.dimension()))
+            .cloned()
+            .collect();
+        assert_eq!(
+            remove_redundant_generators(&generators),
+            extreme,
+            "{label}: kept generators differ from the extreme rays"
+        );
+    }
+}
+
+#[test]
+fn redundancy_removal_drops_zero_and_keeps_the_last_parallel_copy() {
+    let gens: Vec<RatVector> = [[0, 0], [1, 0], [1, 1], [2, 0], [0, 1], [2, 2]]
+        .iter()
+        .map(|g| RatVector::from_i64(g))
+        .collect();
+    let kept = remove_redundant_generators(&gens);
+    assert_eq!(
+        kept,
+        vec![RatVector::from_i64(&[2, 0]), RatVector::from_i64(&[0, 1])]
+    );
+    let facets = GeneratorCone::new(gens).facets();
+    assert!(kept.iter().all(|g| is_extreme(g, &facets, 2)));
+}
+
+/// The checked-in rendering of every deduced constraint, in engine order.
+const DEDUCED_GOLDEN: &str = include_str!("golden/deduced_constraints.txt");
+
+#[test]
+fn deduced_constraints_match_the_golden() {
+    // Regenerate with `GOLDEN_REGEN=1 cargo test --test constraint_deduction
+    // deduced_constraints_match_the_golden -- --nocapture`.
+    let mut rendered = String::new();
+    for (label, cone) in projected_family() {
+        rendered.push_str(&format!(
+            "# {label}\n{}\n",
+            deduce_constraints(&cone).render()
+        ));
+    }
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        print!("{rendered}");
+    }
+    assert_eq!(
+        rendered, DEDUCED_GOLDEN,
+        "deduced constraints moved; if intentional, regenerate \
+         tests/golden/deduced_constraints.txt"
+    );
 }
