@@ -545,6 +545,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "band 1 has 3 coefficients, expected 2")]
+    fn wrong_dimension_panics() {
+        // A later band row that is too long is caught too, not just a short
+        // first row.
+        let _ = Tableau::band(2, &[vec![1.0, 1.0], vec![1.0, 0.0, 1.0]]);
+    }
+
+    #[test]
     fn cone_membership_as_lp() {
         // Is (5, 2) a non-negative combination of (1, 0) and (1, 1)?  Yes:
         // 3·(1, 0) + 2·(1, 1).  Each counter coordinate is one band, lo = hi.
