@@ -2,25 +2,23 @@
 //!
 //! This is the benchmark behind the CI perf-regression gate
 //! (`ci/bench_gate.sh`): the `checker_*` and `per_observation_*_exact`
-//! entries decide one observation at a time through the checker, the
-//! `batched_*` entries run the [`BatchFeasibility`] decision path on the same
+//! entries decide one observation at a time on a fresh engine (one cold
+//! solve with evidence extraction per observation), the `batched_*` entries
+//! run the [`BatchFeasibility`] decision path on the same
 //! data, and the `_exact` variants use point observations (shared coordinate
 //! axes), where the (cone, axes) coefficient cache and the tier-1 solver's
 //! bounds-only warm restarts pay off most.
 
-use counterpoint::{check_models, BatchFeasibility, FeasibilityChecker, ModelCone, Observation};
+use counterpoint::{check_models, BatchFeasibility, ModelCone, Observation};
 use counterpoint_bench::{experiment_observations, table3_model};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-/// The per-observation reference: one cold LP per observation through the
-/// current checker (which itself shares the revised dual-simplex core).
-fn count_infeasible_per_observation(
-    checker: &FeasibilityChecker<'_>,
-    observations: &[Observation],
-) -> usize {
+/// The per-observation reference: one cold solve per observation, each on a
+/// fresh engine whose verdict depends on the cone and the observation alone.
+fn count_infeasible_per_observation(cone: &ModelCone, observations: &[Observation]) -> usize {
     observations
         .iter()
-        .filter(|o| !checker.is_feasible(o))
+        .filter(|o| BatchFeasibility::new(cone).verdict(o).is_refuted())
         .count()
 }
 
@@ -39,23 +37,22 @@ fn bench_batch_feasibility(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_feasibility");
     for name in ["m0", "m4"] {
         let cone = table3_model(name);
-        let checker = FeasibilityChecker::new(&cone);
         // Sanity: both paths must agree before we time them.
         let mut batch = BatchFeasibility::new(&cone);
         assert_eq!(
             batch.count_infeasible(&observations),
-            count_infeasible_per_observation(&checker, &observations),
+            count_infeasible_per_observation(&cone, &observations),
             "batched and per-observation verdicts diverged on {name}"
         );
 
         group.bench_function(format!("checker_{name}"), |b| {
-            b.iter(|| count_infeasible_per_observation(&checker, &observations))
+            b.iter(|| count_infeasible_per_observation(&cone, &observations))
         });
         group.bench_function(format!("batched_{name}"), |b| {
             b.iter(|| BatchFeasibility::new(&cone).count_infeasible(&observations))
         });
         group.bench_function(format!("per_observation_{name}_exact"), |b| {
-            b.iter(|| count_infeasible_per_observation(&checker, &exact))
+            b.iter(|| count_infeasible_per_observation(&cone, &exact))
         });
         group.bench_function(format!("batched_{name}_exact"), |b| {
             b.iter(|| BatchFeasibility::new(&cone).count_infeasible(&exact))

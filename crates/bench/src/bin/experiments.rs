@@ -12,6 +12,7 @@
 //! `fig9`, `fig10`, `table1`, `table3`, `table5`, `table7`, `stats`,
 //! `enumerate`, or `all`.
 //! Unknown experiment names and flags are rejected with a usage message.
+//! Every valued flag also accepts the `--flag=value` spelling.
 //! `--quick` reduces the simulated access counts (for smoke testing).
 //! `--seed` overrides the PMU multiplexing-scheduler seed on the campaign-driven
 //! experiments (default unchanged, so output stays reproducible), and
@@ -46,10 +47,11 @@ use counterpoint::models::family::{
 };
 use counterpoint::models::harness::{case_study_campaign, observe_trace, HarnessConfig};
 use counterpoint::models::Feature;
+use counterpoint::telemetry::span;
 use counterpoint::workloads::{GraphTraversal, LinearAccess, Workload};
 use counterpoint::{
     compile_uop, deduce_constraints, BatchFeasibility, CounterSpace, ExplorationModel,
-    FeasibilityChecker, FeatureSet, Inquiry, ModelCone, NoiseModel, Observation, Report,
+    FeasibilityVerdict, FeatureSet, Inquiry, ModelCone, NoiseModel, Observation, Report,
 };
 use counterpoint_bench::{
     experiment_config, experiment_observations_opts, projected_model, table3_model,
@@ -124,6 +126,7 @@ impl Opts {
 }
 
 /// Command line of the experiments binary.
+#[derive(Debug, PartialEq)]
 struct Cli {
     which: String,
     quick: bool,
@@ -136,8 +139,10 @@ struct Cli {
     telemetry: Option<String>,
 }
 
-fn parse_args() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the arguments after the program name.  Every valued flag takes its
+/// value either as the next argument or after `=` (`--seed 7`, `--seed=7`).
+/// The error is the message the usage text follows.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         which: String::new(),
         quick: false,
@@ -149,8 +154,56 @@ fn parse_args() -> Cli {
         json: None,
         telemetry: None,
     };
-    let mut which = None;
-    let fail = |msg: String| -> ! {
+    let mut which: Option<&str> = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if let Some(previous) = which {
+                return Err(format!(
+                    "unexpected argument `{arg}` (experiment `{previous}` already selected)"
+                ));
+            }
+            if arg != "all" && !EXPERIMENTS.contains(&arg.as_str()) {
+                return Err(format!("unknown experiment `{arg}`"));
+            }
+            which = Some(arg);
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || match inline {
+            Some(value) => Ok(value.to_string()),
+            None => rest
+                .next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value")),
+        };
+        let number = |value: String| -> Result<u64, String> {
+            value
+                .parse()
+                .map_err(|_| format!("invalid {flag} value `{value}`"))
+        };
+        match flag {
+            "--quick" if inline.is_none() => cli.quick = true,
+            "--seed" => cli.seed = Some(number(value()?)?),
+            "--threads" => cli.threads = number(value()?)? as usize,
+            "--search-threads" => cli.search_threads = Some(number(value()?)? as usize),
+            "--enumerate" => cli.enumerate_depth = number(value()?)? as usize,
+            "--max-models" => cli.max_models = number(value()?)? as usize,
+            "--json" => cli.json = Some(value()?),
+            "--telemetry" => cli.telemetry = Some(value()?),
+            _ => return Err(format!("unknown flag `{arg}`")),
+        }
+    }
+    cli.which = which.unwrap_or("all").to_string();
+    Ok(cli)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         eprintln!(
             "usage: experiments <which> [--quick] [--seed <u64>] [--threads <n>] \
@@ -162,105 +215,7 @@ fn parse_args() -> Cli {
             EXPERIMENTS.join(", ")
         );
         std::process::exit(2);
-    };
-    let parse = |flag: &str, value: Option<&String>| -> u64 {
-        let Some(value) = value else {
-            fail(format!("{flag} requires a value"));
-        };
-        value
-            .parse()
-            .unwrap_or_else(|_| fail(format!("invalid {flag} value `{value}`")))
-    };
-    let string = |flag: &str, value: Option<&String>| -> String {
-        let Some(value) = value else {
-            fail(format!("{flag} requires a value"));
-        };
-        value.clone()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => cli.quick = true,
-            "--seed" => {
-                cli.seed = Some(parse("--seed", args.get(i + 1)));
-                i += 1;
-            }
-            "--threads" => {
-                cli.threads = parse("--threads", args.get(i + 1)) as usize;
-                i += 1;
-            }
-            "--search-threads" => {
-                cli.search_threads = Some(parse("--search-threads", args.get(i + 1)) as usize);
-                i += 1;
-            }
-            "--enumerate" => {
-                cli.enumerate_depth = parse("--enumerate", args.get(i + 1)) as usize;
-                i += 1;
-            }
-            "--max-models" => {
-                cli.max_models = parse("--max-models", args.get(i + 1)) as usize;
-                i += 1;
-            }
-            "--json" => {
-                cli.json = Some(string("--json", args.get(i + 1)));
-                i += 1;
-            }
-            "--telemetry" => {
-                cli.telemetry = Some(string("--telemetry", args.get(i + 1)));
-                i += 1;
-            }
-            flag if flag.starts_with("--seed=") => {
-                cli.seed = Some(parse("--seed", Some(&flag["--seed=".len()..].to_string())));
-            }
-            flag if flag.starts_with("--search-threads=") => {
-                cli.search_threads = Some(parse(
-                    "--search-threads",
-                    Some(&flag["--search-threads=".len()..].to_string()),
-                ) as usize);
-            }
-            flag if flag.starts_with("--threads=") => {
-                cli.threads =
-                    parse("--threads", Some(&flag["--threads=".len()..].to_string())) as usize;
-            }
-            flag if flag.starts_with("--enumerate=") => {
-                cli.enumerate_depth = parse(
-                    "--enumerate",
-                    Some(&flag["--enumerate=".len()..].to_string()),
-                ) as usize;
-            }
-            flag if flag.starts_with("--max-models=") => {
-                cli.max_models = parse(
-                    "--max-models",
-                    Some(&flag["--max-models=".len()..].to_string()),
-                ) as usize;
-            }
-            flag if flag.starts_with("--json=") => {
-                cli.json = Some(flag["--json=".len()..].to_string());
-            }
-            flag if flag.starts_with("--telemetry=") => {
-                cli.telemetry = Some(flag["--telemetry=".len()..].to_string());
-            }
-            flag if flag.starts_with("--") => fail(format!("unknown flag `{flag}`")),
-            name => {
-                if let Some(previous) = &which {
-                    fail(format!(
-                        "unexpected argument `{name}` (experiment `{previous}` already selected)"
-                    ));
-                }
-                if name != "all" && !EXPERIMENTS.contains(&name) {
-                    fail(format!("unknown experiment `{name}`"));
-                }
-                which = Some(name.to_string());
-            }
-        }
-        i += 1;
-    }
-    cli.which = which.unwrap_or_else(|| "all".to_string());
-    cli
-}
-
-fn main() {
-    let cli = parse_args();
+    });
     // Claim the telemetry sink for the whole run: every Inquiry the selected
     // experiments build contributes to this one recording (their own
     // `telemetry(...)` hook yields to an active outer recording).
@@ -356,6 +311,7 @@ fn json_if(report: Report, want_json: bool) -> Option<JsonValue> {
 
 /// Figure 1a: growth of HEC counts across microarchitecture generations.
 fn fig1a() {
+    let _span = span("fig1a", "");
     println!(
         "{:<8} {:>6} {:>14} {:>8} {:>20}",
         "uarch", "year", "named events", "cores", "addressable events"
@@ -378,6 +334,7 @@ fn fig1a() {
 
 /// Figure 1b: number of model constraints vs. cumulative counter groups.
 fn fig1b() {
+    let _span = span("fig1b", "");
     println!("{:<22} {:>12} {:>12}", "counter groups", "m0", "m4");
     let labels = ["Ret|4", "+L2TLB|10", "+Walk|22", "+Refs|26"];
     for groups in 1..=4usize {
@@ -397,6 +354,7 @@ fn fig1b() {
 /// constraint-(1) violation remains detectable at 99% confidence.  Returns the
 /// per-row data for the `--json` report.
 fn fig1c(accesses: usize) -> JsonValue {
+    let _span = span("fig1c", "");
     let space = full_counter_space();
     // A 2 KiB stride gives two accesses per page: the merged-walk violation
     // (ret_stlb_miss = 2x walk_done) is real but has a slim margin, so it is
@@ -411,6 +369,7 @@ fn fig1c(accesses: usize) -> JsonValue {
     // walk merging on this workload).  Checked against the m0-style cone projected
     // onto the Ret+Walk counters.
     let m0 = table3_model("m0");
+    let mut m0_engine = BatchFeasibility::new(&m0);
     println!(
         "{:>10} {:>22} {:>28}",
         "counters", "relative noise (CV)", "violation detected (m0)"
@@ -441,7 +400,7 @@ fn fig1c(accesses: usize) -> JsonValue {
             let series: Vec<f64> = steady.iter().map(|r| r[idx]).collect();
             let mean = counterpoint_stats::mean(&series).max(1.0);
             cv_sum += counterpoint_stats::variance(&series).sqrt() / mean;
-            if !FeasibilityChecker::new(&m0).is_feasible(&obs) {
+            if m0_engine.verdict(&obs).is_refuted() {
                 detected_runs += 1;
             }
         }
@@ -467,6 +426,7 @@ fn fig1c(accesses: usize) -> JsonValue {
 
 /// Figure 3: whether a violation is detectable depends on which counters are used.
 fn fig3() {
+    let _span = span("fig3", "");
     // Figure 3a's three-counter cone and the infeasible observation.
     let space3 = CounterSpace::new(&["load.causes_walk", "load.walk_done", "load.ret_stlb_miss"]);
     let sigs = vec![
@@ -478,7 +438,7 @@ fn fig3() {
     let obs3 = Observation::exact("obs", &[4.0, 2.0, 3.0]);
     println!(
         "3 counters (causes_walk, walk_done, ret_stlb_miss): violation detected = {}",
-        !FeasibilityChecker::new(&cone3).is_feasible(&obs3)
+        BatchFeasibility::new(&cone3).verdict(&obs3).is_refuted()
     );
 
     // Figure 3b: dropping walk_done hides the violation.
@@ -486,7 +446,7 @@ fn fig3() {
     let obs2 = Observation::exact("obs", &[4.0, 3.0]);
     println!(
         "2 counters (drop walk_done):                         violation detected = {}",
-        !FeasibilityChecker::new(&cone2).is_feasible(&obs2)
+        BatchFeasibility::new(&cone2).verdict(&obs2).is_refuted()
     );
 
     // Figure 3c: substituting pde$_miss for walk_done also hides it.
@@ -502,7 +462,9 @@ fn fig3() {
     let obs_sub = Observation::exact("obs", &[4.0, 1.0, 3.0]);
     println!(
         "3 counters (substitute pde$_miss):                   violation detected = {}",
-        !FeasibilityChecker::new(&cone_sub).is_feasible(&obs_sub)
+        BatchFeasibility::new(&cone_sub)
+            .verdict(&obs_sub)
+            .is_refuted()
     );
     println!("constraints of the 3-counter cone:");
     for c in deduce_constraints(&cone3).all_named() {
@@ -513,6 +475,7 @@ fn fig3() {
 /// Figures 3d / 5: correlated vs. independent counter confidence regions.
 /// Returns the extents and refutation outcomes for the `--json` report.
 fn fig5(accesses: usize) -> JsonValue {
+    let _span = span("fig5", "");
     let space = full_counter_space();
     let workload = GraphTraversal {
         vertices: 300_000,
@@ -538,8 +501,9 @@ fn fig5(accesses: usize) -> JsonValue {
     let correlated_extent = correlated.total_extent();
     let obs_corr = Observation::from_region("graph", correlated);
     let obs_ind = Observation::from_region("graph", independent);
-    let refuted_corr = !FeasibilityChecker::new(&m0).is_feasible(&obs_corr);
-    let refuted_ind = !FeasibilityChecker::new(&m0).is_feasible(&obs_ind);
+    let mut m0_engine = BatchFeasibility::new(&m0);
+    let refuted_corr = m0_engine.verdict(&obs_corr).is_refuted();
+    let refuted_ind = m0_engine.verdict(&obs_ind).is_refuted();
     println!("m0 refuted with correlated region: {refuted_corr}");
     println!("m0 refuted with independent region: {refuted_ind}");
     JsonValue::Object(vec![
@@ -562,6 +526,7 @@ fn fig5(accesses: usize) -> JsonValue {
 
 /// Figure 6: refining the PDE-cache model removes the violated constraint.
 fn fig6() {
+    let _span = span("fig6", "");
     let counters = CounterSpace::new(&["load.causes_walk", "load.pde$_miss"]);
     let initial = compile_uop(
         "fig6a",
@@ -578,17 +543,19 @@ fn fig6() {
     let obs = Observation::exact("microbench", &[1_000.0, 1_300.0]);
     for (label, mudd) in [("initial (6a)", &initial), ("refined (6c)", &refined)] {
         let cone = ModelCone::from_mudd(mudd).unwrap();
-        let constraints = deduce_constraints(&cone);
-        let report = FeasibilityChecker::new(&cone).check(&obs, Some(&constraints));
-        println!("{label}: feasible = {}", report.feasible);
-        for v in &report.violated {
-            println!("    violated: {}", v.text());
+        let verdict = BatchFeasibility::new(&cone).verdict(&obs);
+        println!("{label}: feasible = {}", verdict.is_feasible());
+        if verdict.is_refuted() {
+            for v in deduce_constraints(&cone).violated_by(obs.region()) {
+                println!("    violated: {}", v.text());
+            }
         }
     }
 }
 
 /// Table 1: representative Haswell MMU model constraints.
 fn table1() {
+    let _span = span("table1", "");
     // Constraint 1 comes from the merge-free, prefetch-capable model projected onto
     // Ret+Walk counters; constraints 2/3-style bounds appear once the Refs group is
     // included.
@@ -789,51 +756,53 @@ fn table7(opts: &Opts) -> Report {
 fn stats_correlations(accesses: usize) {
     let space = full_counter_space();
     let pmu = MultiplexingPmu::new(PmuConfig::default());
-    let suite = counterpoint::workloads::standard_suite();
+    let traces_span = span("stats_traces", "");
+    let mut traces: Vec<(String, Vec<counterpoint_haswell::mem::MemoryAccess>)> =
+        counterpoint::workloads::standard_suite()
+            .iter()
+            .map(|entry| {
+                (
+                    entry.label.clone(),
+                    entry
+                        .workload
+                        .generate(accesses * entry.access_scale.max(1)),
+                )
+            })
+            .collect();
     // Phase-varying traces (a prefetch-friendly linear phase followed by a
     // TLB-hostile random phase): program phases make the per-interval counter
     // values co-vary, which is what the correlated confidence regions exploit.
-    let phased: Vec<(String, Vec<counterpoint_haswell::mem::MemoryAccess>)> = (0..4u64)
-        .map(|i| {
-            let mut trace = LinearAccess {
-                footprint: 8 << 20,
-                stride: 64,
-                store_ratio: 0.0,
+    traces.extend((0..4u64).map(|i| {
+        let mut trace = LinearAccess {
+            footprint: 8 << 20,
+            stride: 64,
+            store_ratio: 0.0,
+        }
+        .generate(accesses * 4);
+        trace.extend(
+            counterpoint::workloads::RandomAccess {
+                footprint: (1 + i) << 30,
+                store_ratio: 0.2,
+                seed: i,
             }
-            .generate(accesses * 4);
-            trace.extend(
-                counterpoint::workloads::RandomAccess {
-                    footprint: (1 + i) << 30,
-                    store_ratio: 0.2,
-                    seed: i,
-                }
-                .generate(accesses * 4),
-            );
-            (format!("phased-{i}"), trace)
-        })
-        .collect();
-    let models: Vec<(String, ModelCone)> = ["m0", "m1", "m2", "m3", "m9", "m10", "m11"]
+            .generate(accesses * 4),
+        );
+        (format!("phased-{i}"), trace)
+    }));
+    drop(traces_span);
+    let models: Vec<ModelCone> = ["m0", "m1", "m2", "m3", "m9", "m10", "m11"]
         .iter()
-        .map(|n| (n.to_string(), table3_model(n)))
+        .map(|n| table3_model(n))
         .collect();
+    // One engine per model for the whole trace loop: every counted violation
+    // is a refutation carrying its Farkas certificate.
+    let mut engines: Vec<BatchFeasibility> = models.iter().map(BatchFeasibility::new).collect();
 
     let mut correlated_violations = 0usize;
     let mut independent_violations = 0usize;
+    let mut inconclusive = 0usize;
     let mut strong_pairs = 0usize;
     let mut total_pairs = 0usize;
-
-    let mut traces: Vec<(String, Vec<counterpoint_haswell::mem::MemoryAccess>)> = suite
-        .iter()
-        .map(|entry| {
-            (
-                entry.label.clone(),
-                entry
-                    .workload
-                    .generate(accesses * entry.access_scale.max(1)),
-            )
-        })
-        .collect();
-    traces.extend(phased);
 
     let pmu_span = counterpoint::telemetry::span("stats_pmu", "");
     for (label, trace) in traces {
@@ -860,13 +829,16 @@ fn stats_correlations(accesses: usize) {
             Observation::from_samples_with_model(&label, &steady, 0.99, NoiseModel::Correlated);
         let ind =
             Observation::from_samples_with_model(&label, &steady, 0.99, NoiseModel::Independent);
-        for (_, cone) in &models {
-            let checker = FeasibilityChecker::new(cone);
-            if !checker.is_feasible(&corr) {
-                correlated_violations += 1;
-            }
-            if !checker.is_feasible(&ind) {
-                independent_violations += 1;
+        for engine in &mut engines {
+            for (observation, violations) in [
+                (&corr, &mut correlated_violations),
+                (&ind, &mut independent_violations),
+            ] {
+                match engine.verdict(observation) {
+                    FeasibilityVerdict::Refuted { .. } => *violations += 1,
+                    FeasibilityVerdict::Inconclusive { .. } => inconclusive += 1,
+                    FeasibilityVerdict::Feasible { .. } => {}
+                }
             }
         }
     }
@@ -875,6 +847,9 @@ fn stats_correlations(accesses: usize) {
     println!("model-constraint violations detected across incomplete models:");
     println!("  with correlated confidence regions : {correlated_violations}");
     println!("  with independent confidence regions: {independent_violations}");
+    if inconclusive > 0 {
+        println!("  inconclusive (no sound certificate) : {inconclusive}");
+    }
     if independent_violations > 0 {
         println!(
             "  additional violations from correlations: {:.1}% (paper: >24%)",
@@ -894,6 +869,7 @@ fn stats_correlations(accesses: usize) {
 fn fig9(opts: &Opts) {
     let observations = opts.observations(opts.accesses / 2);
     println!("(a) feasibility-testing time per observation vs counter groups (model m4):");
+    let timing_span = span("fig9_feasibility_timing", "");
     for groups in 1..=4usize {
         let cone = projected_model("m4", groups);
         let space = cumulative_group_space(groups);
@@ -921,7 +897,10 @@ fn fig9(opts: &Opts) {
         );
     }
 
+    drop(timing_span);
+
     println!("(b) constraint-deduction time vs counter groups (model m0):");
+    let _span = span("fig9_deduction_timing", "");
     for groups in 1..=4usize {
         let start = Instant::now();
         let constraints = deduce_constraints(&projected_model("m0", groups));
@@ -1033,4 +1012,84 @@ fn enumerate_families(opts: &Opts) -> Report {
     }
     println!("\nlattice models searched across all groups: {searched_total}");
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn both_flag_spellings_give_the_same_cli() {
+        let spaced = parse(&[
+            "table3",
+            "--quick",
+            "--seed",
+            "7",
+            "--threads",
+            "2",
+            "--search-threads",
+            "3",
+            "--enumerate",
+            "1",
+            "--max-models",
+            "9",
+            "--json",
+            "report.json",
+            "--telemetry",
+            "trace",
+        ])
+        .unwrap();
+        let inline = parse(&[
+            "--quick",
+            "--seed=7",
+            "--threads=2",
+            "--search-threads=3",
+            "--enumerate=1",
+            "--max-models=9",
+            "--json=report.json",
+            "--telemetry=trace",
+            "table3",
+        ])
+        .unwrap();
+        assert_eq!(spaced, inline);
+        assert_eq!(
+            spaced,
+            Cli {
+                which: "table3".to_string(),
+                quick: true,
+                seed: Some(7),
+                threads: 2,
+                search_threads: Some(3),
+                enumerate_depth: 1,
+                max_models: 9,
+                json: Some("report.json".to_string()),
+                telemetry: Some("trace".to_string()),
+            }
+        );
+        assert_eq!(parse(&[]).unwrap().which, "all");
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected_with_their_message() {
+        for (args, message) in [
+            (&["--quick=1"][..], "unknown flag `--quick=1`"),
+            (&["--bogus=3"], "unknown flag `--bogus=3`"),
+            (&["--seed"], "--seed requires a value"),
+            (&["--seed=x"], "invalid --seed value `x`"),
+            (&["--threads", "many"], "invalid --threads value `many`"),
+            (&["--max-models="], "invalid --max-models value ``"),
+            (&["bogus"], "unknown experiment `bogus`"),
+            (
+                &["fig3", "fig5"],
+                "unexpected argument `fig5` (experiment `fig3` already selected)",
+            ),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
+        }
+    }
 }

@@ -2,12 +2,13 @@
 //!
 //! A refutation campaign asks the same structural question thousands of times:
 //! for each model cone and each observation, does the observation's confidence
-//! region intersect the cone?  [`FeasibilityChecker::is_feasible`] answers one
-//! instance from scratch — it computes the `axis · generator` coefficient
-//! matrix (a function of the cone and the counter-space axes only) and runs a
-//! cold dual simplex from the all-slack basis.  [`BatchFeasibility`] amortises
-//! that work across a campaign.  The coefficient matrix is computed **once per
-//! (cone, axes) pair** and reused for every observation sharing those axes
+//! region intersect the cone?  [`BatchFeasibility`] is the one engine that
+//! answers it.  A fresh engine answers one instance from scratch: it computes
+//! the `axis · generator` coefficient matrix (a function of the cone and the
+//! counter-space axes only) and runs a cold dual simplex from the all-slack
+//! basis.  A long-lived engine amortises that work across a campaign.  The
+//! coefficient matrix is computed **once per (cone, axes) pair** and reused
+//! for every observation sharing those axes
 //! (all exact observations share the coordinate axes; repeated measurements of
 //! one workload share their region's principal axes).  Two LP engines read
 //! it, one per role:
@@ -20,8 +21,9 @@
 //!   tier-1 verdict and a tier-1 solve that fails to converge all come from
 //!   one cold solve (`ColdSolve`) built only from the cone and the
 //!   observation, so a Report's witnesses and certificates never depend on
-//!   what the engine solved before.  If that cold solve fails to converge,
-//!   the verdict is [`FeasibilityVerdict::Inconclusive`].
+//!   what the engine solved before.  If that cold solve fails to converge, or
+//!   refutes without a sound separating direction, the verdict is
+//!   [`FeasibilityVerdict::Inconclusive`].
 //!
 //! Both roles recycle the verdicts of past solves: Farkas separating
 //! directions and scaled cone-point witness rays settle many observations in
@@ -30,8 +32,6 @@
 //! `std::thread` workers with the same deterministic pattern the
 //! `counterpoint-collect` campaign runner uses: results land in model order no
 //! matter how many workers run or which finishes first.
-//!
-//! [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
 
 use crate::cone::ModelCone;
 use crate::feasibility::{observation_scale, row_bounds, ConeMatrix};
@@ -66,13 +66,17 @@ pub enum FeasibilityVerdict {
         /// `c · g ≥ 0` for every cone generator — re-verified against the
         /// generators before being returned — while the whole confidence
         /// region lies on the negative side: a Farkas certificate of the
-        /// refutation, checkable without re-running the LP.  Empty only if
-        /// certificate extraction failed numerically (the verdict itself is
-        /// still sound).
+        /// refutation, checkable without re-running the LP.  Empty only on the
+        /// evidence-free decision paths
+        /// ([`is_feasible`](BatchFeasibility::is_feasible),
+        /// [`decide_lenient`](BatchFeasibility::decide_lenient)), which skip
+        /// extraction; an LP refutation whose folded direction fails the
+        /// soundness check is [`FeasibilityVerdict::Inconclusive`] instead.
         certificate: Vec<f64>,
     },
-    /// No verdict could be reached: the cold dual simplex failed to converge.
-    /// The bool-returning
+    /// No verdict could be reached: the cold dual simplex failed to converge,
+    /// or it refuted the observation but no sound certificate could be
+    /// folded from its Farkas multipliers.  The bool-returning
     /// [`BatchFeasibility::is_feasible`] resolves this as not-refuted (no
     /// certificate exists); the verdict path reports it explicitly so a
     /// session can record the gap and move on.  Each occurrence increments
@@ -134,27 +138,27 @@ pub(crate) const CERTIFICATE_MARGIN: f64 = 1e-6;
 /// for it.
 #[derive(Clone, Debug)]
 struct AxesCache {
+    /// The cached axes; empty when `standard`, since the identity needs no
+    /// copy (a region has standard axes exactly when they are the identity).
     axes: Vec<Vec<f64>>,
-    /// Whether `axes` is the identity basis — lets the per-observation cache
-    /// check skip the `O(d²)` axes comparison for exact observations, which
-    /// all share the standard axes.
+    /// Whether the axes are the identity basis — lets the per-observation
+    /// cache check skip the `O(d²)` axes comparison for exact observations,
+    /// which all share the standard axes.
     standard: bool,
     matrix: ConeMatrix,
     fast: Option<FactorTableau>,
 }
 
-/// Batched feasibility testing of many observations against one model cone.
+/// Feasibility testing of observations against one model cone: the one
+/// public feasibility type.
 ///
-/// Construction mirrors [`FeasibilityChecker::new`]; the difference is that
-/// [`is_feasible`](BatchFeasibility::is_feasible) takes `&mut self` so the
-/// engine can keep the tier-1 LP state and the harvested evidence pools alive
-/// between calls.  Use it
-/// whenever more than a handful of observations are tested against the same
-/// cone — [`FeasibilityChecker::count_infeasible`], [`check_models`] and the
-/// session layer already route through it.
-///
-/// [`FeasibilityChecker::new`]: crate::FeasibilityChecker::new
-/// [`FeasibilityChecker::count_infeasible`]: crate::FeasibilityChecker::count_infeasible
+/// Every entry point takes `&mut self` so the engine can keep the tier-1 LP
+/// state and the harvested evidence pools alive between calls.  Keep one
+/// engine per cone while many observations are tested against it, as
+/// [`check_models`] and the session layer do.  A fresh engine's
+/// [`verdict`](BatchFeasibility::verdict) is one cold solve that depends on
+/// the cone and the observation alone: `BatchFeasibility::new(&cone)
+/// .verdict(&observation)` is the one-shot check.
 ///
 /// # Example
 ///
@@ -251,26 +255,24 @@ impl<'a> BatchFeasibility<'a> {
     }
 
     /// Returns `true` if the observation's confidence region intersects the
-    /// model cone.  Agrees with [`FeasibilityChecker::is_feasible`] on every
-    /// input; reuses the cached coefficient matrix and warm tier-1 basis where
-    /// the per-observation checker starts from scratch.
+    /// model cone.  Reuses the cached coefficient matrix and warm tier-1
+    /// basis, and agrees with a fresh engine's
+    /// [`verdict`](BatchFeasibility::verdict) on every input.
     ///
     /// # Panics
     ///
     /// Panics if the observation's dimension differs from the cone's.
     ///
-    /// LP non-convergence (pathological cycling, on the tier-1 solve and its
-    /// cold restart) does *not* panic: a refutation needs a Farkas
-    /// certificate and none exists, so the observation deterministically
-    /// counts as not refuted (`true`), mirrored by
-    /// [`FeasibilityChecker::is_feasible`].  Callers that need to distinguish
-    /// this case use [`verdict`](BatchFeasibility::verdict) or
+    /// An inconclusive decision (LP non-convergence on the tier-1 solve and
+    /// its cold restart, or a refutation without a sound certificate) does
+    /// *not* panic: a refutation needs a Farkas certificate and none exists,
+    /// so the observation deterministically counts as not refuted (`true`).
+    /// Callers that need to distinguish this case use
+    /// [`verdict`](BatchFeasibility::verdict) or
     /// [`decide_lenient`](BatchFeasibility::decide_lenient), which surface it
     /// as [`FeasibilityVerdict::Inconclusive`].
-    ///
-    /// [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
     pub fn is_feasible(&mut self, observation: &Observation) -> bool {
-        not_refuted(&self.decide(observation, false))
+        !self.decide(observation, false).is_refuted()
     }
 
     /// The cheapest verdict-level decision: the same no-evidence work as
@@ -395,8 +397,8 @@ impl<'a> BatchFeasibility<'a> {
         // Tier 1: the factorized f64 solver decides, warm-started from the
         // basis the previous observation ended in, and only verdicts whose
         // terminal margin is comfortably wide are trusted.  Thin margins
-        // escalate to the cold solve `FeasibilityChecker::is_feasible` runs,
-        // so the agreement contract holds exactly where fast arithmetic is
+        // escalate to the cold solve a fresh engine's `verdict` runs, so the
+        // agreement contract holds exactly where fast arithmetic is
         // shakiest.
         match fast.resolve(&self.lo, &self.hi) {
             Ok(out) if out.confident => {
@@ -419,7 +421,7 @@ impl<'a> BatchFeasibility<'a> {
             Err(_) => {
                 // The one cold restart after a warm solve cycled out of its
                 // iteration budget: drop the poisoned tier-1 state and answer
-                // like the per-observation checker does.
+                // like a fresh engine does.
                 telemetry::add(telemetry::Metric::ColdSolverFallbacks, 1);
                 let _span = telemetry::span("lp_cold_solve", observation.name());
                 if let Some(cache) = self.cache.as_mut() {
@@ -450,9 +452,14 @@ impl<'a> BatchFeasibility<'a> {
         if axes_match {
             return;
         }
+        let kept_axes: &[Vec<f64>] = if region.standard_axes() {
+            &[]
+        } else {
+            region.axes()
+        };
         let Some(cache) = self.cache.as_mut() else {
             self.cache = Some(AxesCache {
-                axes: region.axes().to_vec(),
+                axes: kept_axes.to_vec(),
                 standard: region.standard_axes(),
                 matrix: ConeMatrix::build(region.axes(), self.sparse),
                 fast: None,
@@ -460,7 +467,7 @@ impl<'a> BatchFeasibility<'a> {
             return;
         };
         cache.matrix.build_sparse_into(region.axes(), self.sparse);
-        clone_axes_into(&mut cache.axes, region.axes());
+        clone_axes_into(&mut cache.axes, kept_axes);
         cache.standard = region.standard_axes();
         // The rebind resets to the all-slack basis: warm starts pay off on
         // the bounds-only path, where the factorization itself survives.
@@ -472,9 +479,10 @@ impl<'a> BatchFeasibility<'a> {
         }
     }
 
-    /// Answers one observation with the one [`ColdSolve`] — the arithmetic
-    /// `FeasibilityChecker::is_feasible` runs, bit for bit — and harvests its
-    /// evidence into the short-circuit pools so the solve still pays forward.
+    /// Answers one observation with the one [`ColdSolve`] — the arithmetic of
+    /// a fresh engine's [`verdict`](BatchFeasibility::verdict), bit for bit —
+    /// and harvests its evidence into the short-circuit pools so the solve
+    /// still pays forward.
     /// The coefficient matrix is the cached one for the observation's axes,
     /// a pure function of the cone and the axes, so the solve depends on the
     /// cone and the observation alone.
@@ -490,7 +498,9 @@ impl<'a> BatchFeasibility<'a> {
     /// counter-space separating direction (see [`sound_certificate`]) and
     /// caches it.  The direction satisfies `c · g ≥ 0` for every generator —
     /// a property of the cone alone — so it stays valid for every future
-    /// observation.
+    /// observation.  A refutation whose direction fails that check carries no
+    /// evidence, so it is [`FeasibilityVerdict::Inconclusive`], counted by the
+    /// `lp_inconclusive_verdicts` telemetry counter.
     ///
     /// The solve already starts cold, so non-convergence is
     /// [`FeasibilityVerdict::Inconclusive`] directly.
@@ -521,11 +531,23 @@ impl<'a> BatchFeasibility<'a> {
             }
             FeasibilityVerdict::Refuted { .. } => {
                 direction = sound_certificate(self.sparse, region, matrix, &cold.tableau);
-                let certificate = match &direction {
-                    Some(direction) if want_evidence => direction.clone(),
-                    _ => Vec::new(),
-                };
-                FeasibilityVerdict::Refuted { certificate }
+                match &direction {
+                    Some(direction) => FeasibilityVerdict::Refuted {
+                        certificate: if want_evidence {
+                            direction.clone()
+                        } else {
+                            Vec::new()
+                        },
+                    },
+                    None => {
+                        telemetry::add(telemetry::Metric::LpInconclusiveVerdicts, 1);
+                        FeasibilityVerdict::Inconclusive {
+                            reason: "the cold dual simplex refuted the observation, but its \
+                                     Farkas direction is not a sound separator"
+                                .to_string(),
+                        }
+                    }
+                }
             }
             inconclusive => inconclusive,
         };
@@ -692,14 +714,11 @@ impl<'a> BatchFeasibility<'a> {
 }
 
 /// The one cold solve behind every verdict the tier-1 solver does not settle:
-/// [`FeasibilityChecker::is_feasible`], every evidence verdict, the tier-2
-/// escalation of a thin-margin tier-1 verdict, and the restart after a tier-1
-/// solve fails to converge.  It is built only from the cone and the
-/// observation — the coefficient matrix for the observation's axes, fresh
-/// bounds and an all-slack band tableau — so its verdict and evidence never
-/// depend on what an engine solved before.
-///
-/// [`FeasibilityChecker::is_feasible`]: crate::FeasibilityChecker::is_feasible
+/// every evidence verdict, the tier-2 escalation of a thin-margin tier-1
+/// verdict, and the restart after a tier-1 solve fails to converge.  It is
+/// built only from the cone and the observation — the coefficient matrix for
+/// the observation's axes, fresh bounds and an all-slack band tableau — so its
+/// verdict and evidence never depend on what an engine solved before.
 pub(crate) struct ColdSolve {
     tableau: Tableau,
     lo: Vec<f64>,
@@ -746,13 +765,6 @@ impl ColdSolve {
             }
         }
     }
-}
-
-/// The bool both `is_feasible` entry points return for a verdict: a
-/// refutation needs a certificate, so an inconclusive verdict counts as not
-/// refuted.
-pub(crate) fn not_refuted(verdict: &FeasibilityVerdict) -> bool {
-    !verdict.is_refuted()
 }
 
 /// The unscaled flow combination `Σ fⱼ·gⱼ` over the sparse generators, with
@@ -1097,7 +1109,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feasibility::FeasibilityChecker;
     use counterpoint_mudd::{dsl::compile_uop, CounterSignature, CounterSpace};
 
     fn space() -> CounterSpace {
@@ -1129,10 +1140,17 @@ mod tests {
         Observation::from_samples(name, &samples, 0.99)
     }
 
+    /// The reference decision: one cold solve on a fresh engine, whose empty
+    /// pools leave nothing to short-circuit.
+    fn fresh_is_feasible(cone: &ModelCone, observation: &Observation) -> bool {
+        !BatchFeasibility::new(cone)
+            .verdict(observation)
+            .is_refuted()
+    }
+
     #[test]
     fn batch_agrees_with_checker_on_exact_observations() {
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         let observations = vec![
             Observation::exact("a", &[10.0, 4.0]),
@@ -1145,7 +1163,7 @@ mod tests {
         for obs in &observations {
             assert_eq!(
                 batch.is_feasible(obs),
-                checker.is_feasible(obs),
+                fresh_is_feasible(&cone, obs),
                 "verdict mismatch on {}",
                 obs.name()
             );
@@ -1157,14 +1175,13 @@ mod tests {
         // Distinct principal axes per observation: exercises the in-place
         // rebind path.
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         for i in 0..12 {
             let offset = -2.0 + i as f64 * 0.7; // from clearly inside to clearly out
             let obs = noisy_observation(&format!("noisy-{i}"), 900.0 + 37.0 * i as f64, offset);
             assert_eq!(
                 batch.is_feasible(&obs),
-                checker.is_feasible(&obs),
+                fresh_is_feasible(&cone, &obs),
                 "verdict mismatch on {}",
                 obs.name()
             );
@@ -1179,14 +1196,10 @@ mod tests {
             .collect();
         let expected = observations
             .iter()
-            .filter(|o| !FeasibilityChecker::new(&cone).is_feasible(o))
+            .filter(|o| !fresh_is_feasible(&cone, o))
             .count();
         assert_eq!(
             BatchFeasibility::new(&cone).count_infeasible(&observations),
-            expected
-        );
-        assert_eq!(
-            FeasibilityChecker::new(&cone).count_infeasible(&observations),
             expected
         );
     }
@@ -1196,10 +1209,9 @@ mod tests {
         // The LP non-convergence path resolves as not-refuted instead of
         // aborting the process.  Differential guard for that change: on
         // well-conditioned instances the verdict classification still matches
-        // the cold reference checker exactly, and none of them take the
+        // a fresh engine's cold solve exactly, and none of them take the
         // Inconclusive escape hatch.
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         let mut observations = vec![
             Observation::exact("a", &[10.0, 4.0]),
@@ -1223,7 +1235,7 @@ mod tests {
             );
             assert_eq!(
                 matches!(verdict, FeasibilityVerdict::Feasible { .. }),
-                checker.is_feasible(obs),
+                fresh_is_feasible(&cone, obs),
                 "verdict mismatch on {}",
                 obs.name()
             );
@@ -1258,7 +1270,6 @@ mod tests {
                 .collect(),
             4,
         );
-        let checker = FeasibilityChecker::new(&cone);
         let mut shared = BatchFeasibility::new(&cone);
         for point in [
             [10.0, 4.0, 3.0],
@@ -1289,7 +1300,6 @@ mod tests {
                 "evidence for {point:?} depends on the engine's history"
             );
             assert!(verdict.witness().or(verdict.certificate()).is_some());
-            assert_eq!(verdict.is_feasible(), checker.is_feasible(&obs));
         }
     }
 
@@ -1316,7 +1326,7 @@ mod tests {
         assert!(!reason.is_empty(), "an inconclusive verdict says why");
         assert!(report.counter(telemetry::Metric::LpInconclusiveVerdicts) >= 1);
         assert!(
-            not_refuted(&verdict),
+            !verdict.is_refuted(),
             "is_feasible maps inconclusive to true"
         );
         // Uncapped, the same solve refutes the observation.

@@ -226,7 +226,7 @@ impl ModelCone {
     }
 
     /// Exact membership test for an integer counter vector (mainly for tests; the
-    /// production path is [`crate::FeasibilityChecker`], which also handles
+    /// production path is [`crate::BatchFeasibility`], which also handles
     /// confidence regions).
     pub fn contains_exact(&self, point: &RatVector) -> bool {
         if self.cone.generators().is_empty() {

@@ -122,11 +122,12 @@ impl ConstraintSet {
     /// point of the region's bounding box has `a·v < 0`; an equality `a·v = 0`
     /// is violated when the box's projection onto `a` excludes zero.
     ///
-    /// This is the refutation feedback of the paper's Figure 2 loop — shared
-    /// by [`FeasibilityChecker::check`] and the session layer's `Refuted`
-    /// verdicts.
+    /// This is the refutation feedback of the paper's Figure 2 loop: the
+    /// session layer attaches it to its `Refuted` verdicts, and a caller of
+    /// [`BatchFeasibility::verdict`] applies it to a refuted observation's
+    /// region.
     ///
-    /// [`FeasibilityChecker::check`]: crate::feasibility::FeasibilityChecker::check
+    /// [`BatchFeasibility::verdict`]: crate::batch::BatchFeasibility::verdict
     pub fn violated_by(
         &self,
         region: &counterpoint_stats::ConfidenceRegion,

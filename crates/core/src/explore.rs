@@ -8,8 +8,8 @@
 //! feature sets.  Features present in every feasible model are reported as
 //! (very likely) present in the real hardware.
 
+use crate::batch::BatchFeasibility;
 use crate::cone::ModelCone;
-use crate::feasibility::FeasibilityChecker;
 use crate::observation::Observation;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -140,8 +140,8 @@ impl SearchGraph {
 
 /// The original cold-start sequential search, kept verbatim as the
 /// executable specification of the search semantics: every candidate model is
-/// re-solved from scratch through [`FeasibilityChecker`], with no caches, no
-/// certificate reuse and no parallelism.
+/// re-solved from scratch on a fresh [`BatchFeasibility`] engine per
+/// observation, with no caches, no certificate reuse and no parallelism.
 ///
 /// [`LatticeSearch`](crate::lattice::LatticeSearch) must produce a
 /// [`SearchGraph`] equal to this function's output on every input — the
@@ -164,15 +164,15 @@ where
         .map(|f| f.as_ref().to_string())
         .collect();
     // One cold solve per (candidate model, observation) pair — the literal
-    // inner loop of the original search, with no state carried anywhere.
-    // `FeasibilityChecker::is_feasible` and the batched engine agree verdict
-    // for verdict on every input, so this is the semantics oracle.
+    // inner loop of the original search, with no state carried anywhere.  A
+    // fresh engine's verdict depends on the cone and the observation alone,
+    // and the warm engine agrees with it verdict for verdict, so this is the
+    // semantics oracle.
     let count_infeasible = |features: &FeatureSet| {
         let cone = generator(features);
-        let checker = FeasibilityChecker::new(&cone);
         observations
             .iter()
-            .filter(|o| !checker.is_feasible(o))
+            .filter(|o| BatchFeasibility::new(&cone).verdict(o).is_refuted())
             .count()
     };
 

@@ -1,45 +1,13 @@
-//! Feasibility testing: does an observation's confidence region intersect the model
-//! cone?
-
-use crate::batch::{not_refuted, ColdSolve};
-use crate::cone::ModelCone;
-use crate::constraints::{ConstraintSet, NamedConstraint};
-use crate::observation::Observation;
-use serde::Serialize;
-
-/// The result of testing one observation against one model.
-#[derive(Clone, Debug, Serialize)]
-pub struct FeasibilityReport {
-    /// The model's name.
-    pub model: String,
-    /// The observation's name.
-    pub observation: String,
-    /// `true` if the confidence region intersects the model cone.
-    pub feasible: bool,
-    /// The model constraints the observation violates (populated only when a
-    /// constraint set was supplied and the observation is infeasible).
-    pub violated: Vec<NamedConstraint>,
-}
-
-/// Tests observations against a model cone with the linear program of the paper's
-/// Appendix A.
-///
-/// The LP has one non-negative flow variable per distinct μpath counter signature
-/// and, for every principal axis of the observation's confidence region, a pair of
-/// constraints bounding the projection of the counter-flow combination onto that
-/// axis by the region's extent.  The observation is feasible iff the LP is.
-///
-/// Every call is one cold dual-simplex solve, the same one the batched engine
-/// falls back to, so the two agree verdict for verdict.  Use
-/// [`BatchFeasibility`](crate::batch::BatchFeasibility) to test many
-/// observations against one cone.
-#[derive(Clone, Debug)]
-pub struct FeasibilityChecker<'a> {
-    cone: &'a ModelCone,
-    /// Non-zero generator entries in index order (column `p` of the
-    /// counter-flow matrix), borrowed from the cone's memoized conversion.
-    sparse: &'a [Vec<(usize, f64)>],
-}
+//! The feasibility LP of the paper's Appendix A: does an observation's
+//! confidence region intersect the model cone?
+//!
+//! The LP has one non-negative flow variable per distinct μpath counter
+//! signature and, for every principal axis of the observation's confidence
+//! region, a band bounding the projection of the counter-flow combination onto
+//! that axis by the region's extent.  The observation is feasible iff the LP
+//! is.  This module builds that LP; [`BatchFeasibility`] solves it.
+//!
+//! [`BatchFeasibility`]: crate::batch::BatchFeasibility
 
 /// Coefficient magnitudes beyond this guard trigger rescaling of the LP rows.
 ///
@@ -57,9 +25,7 @@ const MAGNITUDE_GUARD: f64 = 1e6;
 /// observation's extent along axis `k` divided by `scale · bound_divs[k]`
 /// (`scale` being the per-observation magnitude normaliser).  [`BatchFeasibility`]
 /// computes this matrix once per (cone, axes) pair and reuses it across every
-/// observation sharing those axes; [`FeasibilityChecker::is_feasible`] builds
-/// it per call with the same builder, which keeps both paths on byte-identical
-/// arithmetic.
+/// observation sharing those axes.
 ///
 /// [`BatchFeasibility`]: crate::batch::BatchFeasibility
 #[derive(Clone, Debug)]
@@ -181,108 +147,21 @@ pub(crate) fn row_bounds(
     ((centre_proj - width) / div, (centre_proj + width) / div)
 }
 
-impl<'a> FeasibilityChecker<'a> {
-    /// Prepares a checker for the given model cone.
-    pub fn new(cone: &'a ModelCone) -> FeasibilityChecker<'a> {
-        FeasibilityChecker {
-            cone,
-            sparse: &cone.generators_f64().sparse,
-        }
-    }
-
-    /// The model cone under test.
-    pub fn cone(&self) -> &ModelCone {
-        self.cone
-    }
-
-    /// Returns `true` if the observation's confidence region intersects the model
-    /// cone.
-    ///
-    /// LP non-convergence does not panic: the observation counts as not
-    /// refuted (`true`), exactly as in
-    /// [`BatchFeasibility::is_feasible`](crate::batch::BatchFeasibility::is_feasible).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observation's dimension differs from the cone's.
-    pub fn is_feasible(&self, observation: &Observation) -> bool {
-        assert_eq!(
-            observation.dimension(),
-            self.cone.dimension(),
-            "observation and model must share a counter space"
-        );
-        let region = observation.region();
-
-        // Degenerate cone: only the origin is producible.
-        if self.sparse.is_empty() {
-            return region.contains(&vec![0.0; self.cone.dimension()]);
-        }
-
-        let matrix = ConeMatrix::build(region.axes(), self.sparse);
-        let verdict = ColdSolve::new(
-            self.sparse.len(),
-            &matrix,
-            region,
-            observation_scale(region),
-        )
-        .solve();
-        not_refuted(&verdict)
-    }
-
-    /// Tests the observation and, when it is infeasible and a constraint set is
-    /// supplied, identifies which model constraints it violates at the confidence
-    /// level.
-    ///
-    /// A constraint `a·v ≥ 0` is violated when even the most favourable point of
-    /// the confidence region's bounding box has `a·v < 0`; an equality `a·v = 0` is
-    /// violated when the box's projection onto `a` excludes zero.
-    pub fn check(
-        &self,
-        observation: &Observation,
-        constraints: Option<&ConstraintSet>,
-    ) -> FeasibilityReport {
-        let feasible = self.is_feasible(observation);
-        let mut violated = Vec::new();
-        if !feasible {
-            if let Some(set) = constraints {
-                violated = set
-                    .violated_by(observation.region())
-                    .into_iter()
-                    .cloned()
-                    .collect();
-            }
-        }
-        FeasibilityReport {
-            model: self.cone.name().to_string(),
-            observation: observation.name().to_string(),
-            feasible,
-            violated,
-        }
-    }
-
-    /// Convenience: counts how many of the observations are infeasible for this
-    /// model (the quantity reported per model in the paper's Tables 3, 5 and 7).
-    ///
-    /// Routes through the warm-started [`BatchFeasibility`] engine — the
-    /// verdicts are the ones [`is_feasible`] would return, reached with the
-    /// coefficient matrix and LP basis shared across the batch.
-    ///
-    /// [`BatchFeasibility`]: crate::batch::BatchFeasibility
-    /// [`is_feasible`]: FeasibilityChecker::is_feasible
-    pub fn count_infeasible(&self, observations: &[Observation]) -> usize {
-        crate::batch::BatchFeasibility::new(self.cone).count_infeasible(observations)
-    }
-}
-
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The LP formulation, exercised through fresh engines: a fresh
+    //! [`BatchFeasibility`] has empty evidence pools, so its `verdict` is one
+    //! cold solve of exactly the LP this module builds.
+
+    use crate::batch::{BatchFeasibility, FeasibilityVerdict};
+    use crate::cone::ModelCone;
     use crate::constraints::deduce_constraints;
-    use counterpoint_mudd::{dsl::compile_uop, CounterSpace};
+    use crate::observation::Observation;
+    use counterpoint_mudd::{dsl::compile_uop, CounterSignature, CounterSpace};
 
     fn space() -> CounterSpace {
         CounterSpace::new(&["load.causes_walk", "load.pde$_miss"])
@@ -319,13 +198,25 @@ mod tests {
         ModelCone::from_mudd(&mudd).unwrap()
     }
 
+    /// One cold solve: a fresh engine's verdict.
+    fn verdict(cone: &ModelCone, observation: &Observation) -> FeasibilityVerdict {
+        BatchFeasibility::new(cone).verdict(observation)
+    }
+
+    fn feasible(cone: &ModelCone, observation: &Observation) -> bool {
+        verdict(cone, observation).is_feasible()
+    }
+
+    fn refuted(cone: &ModelCone, observation: &Observation) -> bool {
+        verdict(cone, observation).is_refuted()
+    }
+
     #[test]
     fn exact_observations_inside_and_outside() {
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
-        assert!(checker.is_feasible(&Observation::exact("ok", &[10.0, 4.0])));
-        assert!(checker.is_feasible(&Observation::exact("edge", &[10.0, 10.0])));
-        assert!(!checker.is_feasible(&Observation::exact("bad", &[4.0, 10.0])));
+        assert!(feasible(&cone, &Observation::exact("ok", &[10.0, 4.0])));
+        assert!(feasible(&cone, &Observation::exact("edge", &[10.0, 10.0])));
+        assert!(refuted(&cone, &Observation::exact("bad", &[4.0, 10.0])));
     }
 
     #[test]
@@ -333,22 +224,22 @@ mod tests {
         // The observation that refutes Figure 6a is feasible for Figure 6c — the
         // whole point of the refinement loop.
         let obs = Observation::exact("microbench", &[4.0, 10.0]);
-        assert!(!FeasibilityChecker::new(&fig6a_cone()).is_feasible(&obs));
-        assert!(FeasibilityChecker::new(&fig6c_cone()).is_feasible(&obs));
+        assert!(refuted(&fig6a_cone(), &obs));
+        assert!(feasible(&fig6c_cone(), &obs));
     }
 
     #[test]
     fn large_counts_do_not_break_feasibility() {
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
-        assert!(checker.is_feasible(&Observation::exact("big", &[2.0e9, 1.5e9])));
-        assert!(!checker.is_feasible(&Observation::exact("big-bad", &[1.5e9, 2.0e9])));
+        assert!(feasible(&cone, &Observation::exact("big", &[2.0e9, 1.5e9])));
+        assert!(refuted(
+            &cone,
+            &Observation::exact("big-bad", &[1.5e9, 2.0e9])
+        ));
     }
 
     #[test]
     fn noisy_observation_near_the_boundary_is_feasible() {
-        let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
         // Samples whose mean slightly violates the constraint (pde$_miss exceeds
         // causes_walk by 0.3 on average) but whose confidence region, widened by
         // the sample noise, still overlaps the cone.
@@ -360,13 +251,11 @@ mod tests {
             })
             .collect();
         let obs = Observation::from_samples("noisy", &samples, 0.99);
-        assert!(checker.is_feasible(&obs));
+        assert!(feasible(&fig6a_cone(), &obs));
     }
 
     #[test]
     fn far_off_noisy_observation_is_infeasible() {
-        let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
         let samples: Vec<Vec<f64>> = (0..40)
             .map(|i| {
                 let jitter = (i % 5) as f64;
@@ -374,20 +263,20 @@ mod tests {
             })
             .collect();
         let obs = Observation::from_samples("noisy-bad", &samples, 0.99);
-        assert!(!checker.is_feasible(&obs));
+        assert!(refuted(&fig6a_cone(), &obs));
     }
 
     #[test]
     fn report_identifies_the_violated_constraint() {
+        // A refutation plus the constraints its region violates: the feedback
+        // of the paper's Figure 2 loop.
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
+        let obs = Observation::exact("bad", &[4.0, 10.0]);
+        assert!(refuted(&cone, &obs));
         let constraints = deduce_constraints(&cone);
-        let report = checker.check(&Observation::exact("bad", &[4.0, 10.0]), Some(&constraints));
-        assert!(!report.feasible);
-        assert_eq!(report.model, "fig6a");
-        assert_eq!(report.observation, "bad");
-        assert_eq!(report.violated.len(), 1);
-        assert!(report.violated[0]
+        let violated = constraints.violated_by(obs.region());
+        assert_eq!(violated.len(), 1);
+        assert!(violated[0]
             .text()
             .contains("load.pde$_miss <= load.causes_walk"));
     }
@@ -395,44 +284,40 @@ mod tests {
     #[test]
     fn report_for_feasible_observation_has_no_violations() {
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
-        let constraints = deduce_constraints(&cone);
-        let report = checker.check(&Observation::exact("ok", &[10.0, 4.0]), Some(&constraints));
-        assert!(report.feasible);
-        assert!(report.violated.is_empty());
+        let obs = Observation::exact("ok", &[10.0, 4.0]);
+        assert!(feasible(&cone, &obs));
+        assert!(deduce_constraints(&cone)
+            .violated_by(obs.region())
+            .is_empty());
     }
 
     #[test]
     fn count_infeasible_matches_individual_checks() {
         let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
         let observations = vec![
             Observation::exact("a", &[10.0, 4.0]),
             Observation::exact("b", &[4.0, 10.0]),
             Observation::exact("c", &[1.0, 2.0]),
         ];
-        assert_eq!(checker.count_infeasible(&observations), 2);
+        let individually = observations.iter().filter(|o| refuted(&cone, o)).count();
+        assert_eq!(individually, 2);
+        assert_eq!(
+            BatchFeasibility::new(&cone).count_infeasible(&observations),
+            individually
+        );
     }
 
     #[test]
     fn zero_cone_only_accepts_zero() {
-        let cone = ModelCone::from_signatures(
-            "zero",
-            &space(),
-            vec![counterpoint_mudd::CounterSignature::zero(2)],
-            1,
-        );
-        let checker = FeasibilityChecker::new(&cone);
-        assert!(checker.is_feasible(&Observation::exact("origin", &[0.0, 0.0])));
-        assert!(!checker.is_feasible(&Observation::exact("nonzero", &[1.0, 0.0])));
+        let cone = ModelCone::from_signatures("zero", &space(), vec![CounterSignature::zero(2)], 1);
+        assert!(feasible(&cone, &Observation::exact("origin", &[0.0, 0.0])));
+        assert!(refuted(&cone, &Observation::exact("nonzero", &[1.0, 0.0])));
     }
 
     #[test]
     #[should_panic(expected = "share a counter space")]
     fn dimension_mismatch_panics() {
-        let cone = fig6a_cone();
-        let checker = FeasibilityChecker::new(&cone);
-        let _ = checker.is_feasible(&Observation::exact("bad", &[1.0]));
+        let _ = verdict(&fig6a_cone(), &Observation::exact("bad", &[1.0]));
     }
 
     /// A cone whose single generator mixes magnitudes across nine orders:
@@ -444,10 +329,7 @@ mod tests {
         ModelCone::from_signatures(
             "huge",
             &CounterSpace::new(&["x", "y"]),
-            vec![counterpoint_mudd::CounterSignature::from_counts(vec![
-                1_000_000_000,
-                1,
-            ])],
+            vec![CounterSignature::from_counts(vec![1_000_000_000, 1])],
             1,
         )
     }
@@ -455,14 +337,13 @@ mod tests {
     #[test]
     fn huge_coefficients_do_not_hide_violations() {
         let cone = huge_coefficient_cone();
-        let checker = FeasibilityChecker::new(&cone);
         // On the generator ray: feasible.
-        assert!(checker.is_feasible(&Observation::exact("on", &[1.0e9, 1.0])));
+        assert!(feasible(&cone, &Observation::exact("on", &[1.0e9, 1.0])));
         // A full counter off the ray in y: must be infeasible even though the
         // violation is one part in 10⁹ of the x magnitude.
-        assert!(!checker.is_feasible(&Observation::exact("off", &[1.0e9, 0.0])));
+        assert!(refuted(&cone, &Observation::exact("off", &[1.0e9, 0.0])));
         // And well clear of the ray in the other direction.
-        assert!(!checker.is_feasible(&Observation::exact("far", &[1.0e9, 3.0])));
+        assert!(refuted(&cone, &Observation::exact("far", &[1.0e9, 3.0])));
     }
 
     #[test]
@@ -471,8 +352,7 @@ mod tests {
         // coefficient-derived row scaling must keep the LP well-conditioned on
         // its own.  The origin is in every cone, so this must stay feasible.
         let cone = huge_coefficient_cone();
-        let checker = FeasibilityChecker::new(&cone);
-        assert!(checker.is_feasible(&Observation::exact("origin", &[0.0, 0.0])));
+        assert!(feasible(&cone, &Observation::exact("origin", &[0.0, 0.0])));
         // Noisy all-zero-mean observation with huge half-widths: still contains
         // the origin, still feasible.
         let samples: Vec<Vec<f64>> = (0..16)
@@ -482,7 +362,7 @@ mod tests {
             })
             .collect();
         let obs = Observation::from_samples("swing", &samples, 0.99);
-        assert!(checker.is_feasible(&obs));
+        assert!(feasible(&cone, &obs));
     }
 
     #[test]
@@ -494,15 +374,11 @@ mod tests {
         let cone = ModelCone::from_signatures(
             "mirror",
             &CounterSpace::new(&["x", "y"]),
-            vec![counterpoint_mudd::CounterSignature::from_counts(vec![
-                1,
-                1_000_000_000,
-            ])],
+            vec![CounterSignature::from_counts(vec![1, 1_000_000_000])],
             1,
         );
-        let checker = FeasibilityChecker::new(&cone);
-        assert!(checker.is_feasible(&Observation::exact("on", &[1.0, 1.0e9])));
+        assert!(feasible(&cone, &Observation::exact("on", &[1.0, 1.0e9])));
         // y pins the flow to 1e-9·…, which forces x ≈ 1, not 0.
-        assert!(!checker.is_feasible(&Observation::exact("off", &[0.0, 1.0e9])));
+        assert!(refuted(&cone, &Observation::exact("off", &[0.0, 1.0e9])));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The sequential reference
 //! ([`reference_search`](crate::explore::reference_search)) walks the feature
-//! lattice with one cold [`FeasibilityChecker`](crate::FeasibilityChecker)
-//! solve per (candidate model, observation) pair.  This engine keeps the
+//! lattice with one cold solve on a fresh [`BatchFeasibility`] engine per
+//! (candidate model, observation) pair.  This engine keeps the
 //! *search semantics* identical — the [`SearchGraph`] it emits is equal, node
 //! for node and edge for edge, to the reference's — while changing how every
 //! infeasible-observation count is obtained:

@@ -9,9 +9,10 @@
 //!    diagram's μpaths (the *counter flow equation*).
 //! 2. Noisy HEC measurements become [`Observation`]s carrying counter confidence
 //!    regions (from [`counterpoint_stats`]).
-//! 3. [`feasibility`] decides with a linear program whether an observation's
-//!    confidence region intersects the model cone; if not, the expert's model is
-//!    inconsistent with the hardware at the chosen confidence level.
+//! 3. [`BatchFeasibility`] decides with the linear program of [`feasibility`]
+//!    whether an observation's confidence region intersects the model cone; if
+//!    not, the expert's model is inconsistent with the hardware at the chosen
+//!    confidence level, and the verdict carries a Farkas certificate.
 //! 4. [`constraints`] deduces the explicit model constraints (facets of the cone)
 //!    and identifies which ones an infeasible observation violates — the feedback
 //!    the expert uses to refine the model.
@@ -23,7 +24,7 @@
 //! # Quick start
 //!
 //! ```
-//! use counterpoint_core::{FeasibilityChecker, ModelCone, Observation};
+//! use counterpoint_core::{BatchFeasibility, ModelCone, Observation};
 //! use counterpoint_mudd::{dsl::compile_uop, CounterSpace};
 //!
 //! let counters = CounterSpace::new(&["load.causes_walk", "load.pde$_miss"]);
@@ -37,14 +38,17 @@
 //! "#, &counters).unwrap();
 //!
 //! let cone = ModelCone::from_mudd(&model).unwrap();
-//! let checker = FeasibilityChecker::new(&cone);
+//! let mut engine = BatchFeasibility::new(&cone);
 //!
-//! // An observation with more PDE-cache misses than walks refutes the model.
+//! // An observation with more PDE-cache misses than walks refutes the model,
+//! // and the refutation carries its Farkas certificate.
 //! let infeasible = Observation::exact("microbench", &[100.0, 140.0]);
-//! assert!(!checker.is_feasible(&infeasible));
+//! let verdict = engine.verdict(&infeasible);
+//! assert!(verdict.is_refuted());
+//! assert!(verdict.certificate().is_some());
 //!
 //! let feasible = Observation::exact("microbench", &[140.0, 100.0]);
-//! assert!(checker.is_feasible(&feasible));
+//! assert!(engine.verdict(&feasible).is_feasible());
 //! ```
 
 pub mod batch;
@@ -62,6 +66,5 @@ pub use explore::{
     essential_feature_intersection, feature_set, reference_search, ExplorationModel, FeatureSet,
     SearchEdge, SearchGraph, SearchStep,
 };
-pub use feasibility::{FeasibilityChecker, FeasibilityReport};
 pub use lattice::{CertificatePool, LatticeSearch, LatticeStats, PrunedModel};
 pub use observation::Observation;

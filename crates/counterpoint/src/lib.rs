@@ -74,8 +74,8 @@ pub use counterpoint_collect::{
 pub use counterpoint_core::{
     check_models, check_models_verdicts, deduce_constraints, essential_feature_intersection,
     feature_set, reference_search, BatchFeasibility, ConstraintSet, ExplorationModel,
-    FeasibilityChecker, FeasibilityReport, FeasibilityVerdict, FeatureSet, LatticeSearch,
-    LatticeStats, ModelCone, Observation, SearchGraph,
+    FeasibilityVerdict, FeatureSet, LatticeSearch, LatticeStats, ModelCone, Observation,
+    SearchGraph,
 };
 pub use counterpoint_mudd::dsl::compile_uop;
 pub use counterpoint_mudd::{CounterSignature, CounterSpace, MuDd, MuDdBuilder};

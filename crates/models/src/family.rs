@@ -340,7 +340,7 @@ pub fn abort_specs_table7() -> Vec<(String, Vec<AbortPoint>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use counterpoint_core::{FeasibilityChecker, Observation};
+    use counterpoint_core::{BatchFeasibility, Observation};
 
     #[test]
     fn table3_has_twelve_models_with_expected_features() {
@@ -423,8 +423,8 @@ mod tests {
         values[space.index_of("walk_ref.l2").unwrap()] = 200.0;
         let obs = Observation::exact("merged-and-early-psc", &values);
 
-        assert!(!FeasibilityChecker::new(&m0).is_feasible(&obs));
-        assert!(FeasibilityChecker::new(&m4).is_feasible(&obs));
+        assert!(BatchFeasibility::new(&m0).verdict(&obs).is_refuted());
+        assert!(BatchFeasibility::new(&m4).verdict(&obs).is_feasible());
     }
 
     #[test]
@@ -445,8 +445,8 @@ mod tests {
         values[space.index_of("walk_ref.mem").unwrap()] = 60.0;
         let obs = Observation::exact("replayed-walks", &values);
 
-        assert!(!FeasibilityChecker::new(&m3).is_feasible(&obs));
-        assert!(FeasibilityChecker::new(&m4).is_feasible(&obs));
+        assert!(BatchFeasibility::new(&m3).verdict(&obs).is_refuted());
+        assert!(BatchFeasibility::new(&m4).verdict(&obs).is_feasible());
     }
 
     #[test]
@@ -468,8 +468,8 @@ mod tests {
         values[space.index_of("load.pde$_miss").unwrap()] = 10.0;
         let obs = Observation::exact("linear-prefetch-steady-state", &values);
 
-        assert!(FeasibilityChecker::new(&m4).is_feasible(&obs));
-        assert!(!FeasibilityChecker::new(&m5).is_feasible(&obs));
+        assert!(BatchFeasibility::new(&m4).verdict(&obs).is_feasible());
+        assert!(BatchFeasibility::new(&m5).verdict(&obs).is_refuted());
     }
 
     #[test]
@@ -496,10 +496,10 @@ mod tests {
         values[space.index_of("walk_ref.l2").unwrap()] = 1500.0;
         let obs = Observation::exact("linear-prefetch", &values);
 
-        assert!(FeasibilityChecker::new(&t0).is_feasible(&obs));
+        assert!(BatchFeasibility::new(&t0).verdict(&obs).is_feasible());
         // Requiring a demand DTLB miss per prefetch cannot explain 1500 walks from
         // only 10 misses.
-        assert!(!FeasibilityChecker::new(&t10).is_feasible(&obs));
+        assert!(BatchFeasibility::new(&t10).verdict(&obs).is_refuted());
     }
 
     #[test]
@@ -518,12 +518,12 @@ mod tests {
         for (name, points) in &specs {
             let cone = build_abort_model(name, points);
             assert!(
-                !FeasibilityChecker::new(&cone).is_feasible(&obs),
+                BatchFeasibility::new(&cone).verdict(&obs).is_refuted(),
                 "{name} should not explain walks that complete without references"
             );
         }
         // The bypass-capable t0 model explains the same observation.
         let t0 = build_trigger_model("t0", &TriggerSpec::t0());
-        assert!(FeasibilityChecker::new(&t0).is_feasible(&obs));
+        assert!(BatchFeasibility::new(&t0).verdict(&obs).is_feasible());
     }
 }

@@ -137,7 +137,7 @@ pub fn observe_trace(
 mod tests {
     use super::*;
     use crate::family::{build_feature_model, feature_sets_table3};
-    use counterpoint_core::{BatchFeasibility, FeasibilityChecker};
+    use counterpoint_core::BatchFeasibility;
     use counterpoint_haswell::full_counter_space;
     use counterpoint_haswell::mmu::HaswellMmu;
     use counterpoint_haswell::pmu::MultiplexingPmu;
@@ -246,11 +246,11 @@ mod tests {
             m0_infeasible > 0,
             "the featureless model must be refuted by at least one observation"
         );
-        // The warm-started batch verdicts must match per-observation checks on
-        // the real (noisy, distinct-axes) campaign data.
+        // The warm-started batch verdicts must match fresh engines' cold
+        // solves on the real (noisy, distinct-axes) campaign data.
         let per_obs_m0 = observations
             .iter()
-            .filter(|o| !FeasibilityChecker::new(&m0).is_feasible(o))
+            .filter(|o| BatchFeasibility::new(&m0).verdict(o).is_refuted())
             .count();
         assert_eq!(m0_infeasible, per_obs_m0);
     }

@@ -23,15 +23,18 @@
 //! # Example
 //!
 //! ```
-//! use counterpoint_core::FeasibilityChecker;
+//! use counterpoint_core::{BatchFeasibility, Observation};
 //! use counterpoint_models::family::{build_feature_model, feature_sets_table3};
 //!
-//! // The feature-complete model m4 and the featureless model m0.
+//! // The feature-complete model m4.
 //! let specs = feature_sets_table3();
 //! let m4 = build_feature_model("m4", &specs.iter().find(|(n, _)| n == "m4").unwrap().1);
 //! assert!(m4.num_paths() > 50);
-//! let checker = FeasibilityChecker::new(&m4);
-//! assert_eq!(checker.cone().dimension(), 26);
+//! let mut engine = BatchFeasibility::new(&m4);
+//! assert_eq!(engine.cone().dimension(), 26);
+//! // Every cone contains the origin: an idle counter vector refutes nothing.
+//! let idle = Observation::exact("idle", &[0.0; 26]);
+//! assert!(engine.verdict(&idle).is_feasible());
 //! ```
 
 pub mod aborts;

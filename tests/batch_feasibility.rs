@@ -1,11 +1,11 @@
 //! Property tests for the batched feasibility engine: on random cones and
 //! observation batches — exact and noisy, including degenerate cones — the
-//! warm-started [`BatchFeasibility`] must agree verdict for verdict with the
-//! per-observation [`FeasibilityChecker::is_feasible`], and the threaded
-//! model-family fan-out must be deterministic.
+//! warm-started [`BatchFeasibility`] must agree verdict for verdict with a
+//! fresh engine per observation (one cold solve, no pooled evidence), and the
+//! threaded model-family fan-out must be deterministic.
 
 use counterpoint::mudd::{CounterSignature, CounterSpace};
-use counterpoint::{check_models, BatchFeasibility, FeasibilityChecker, ModelCone, Observation};
+use counterpoint::{check_models, BatchFeasibility, ModelCone, Observation};
 use proptest::prelude::*;
 
 fn space(dim: usize) -> CounterSpace {
@@ -29,6 +29,15 @@ fn cone_from(sigs: &[Vec<u32>], dim: usize) -> ModelCone {
     ModelCone::from_signatures("prop", &space(dim), counter_sigs, n)
 }
 
+/// The reference decision: a fresh engine's verdict, one cold solve that
+/// depends on the cone and the observation alone.  A refutation needs a
+/// certificate, so only `Refuted` counts as infeasible.
+fn fresh_is_feasible(cone: &ModelCone, observation: &Observation) -> bool {
+    !BatchFeasibility::new(cone)
+        .verdict(observation)
+        .is_refuted()
+}
+
 /// Deterministic pseudo-random f64 in `[0, range)` from a seed and index.
 fn pseudo(seed: u64, i: u64, range: f64) -> f64 {
     let mut z = seed
@@ -43,7 +52,7 @@ fn pseudo(seed: u64, i: u64, range: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batched and per-observation verdicts agree on exact observations —
+    /// Warm and fresh-engine verdicts agree on exact observations —
     /// shared coordinate axes, so the batch path exercises the (cone, axes)
     /// cache and bounds-only warm restarts.
     #[test]
@@ -53,7 +62,6 @@ proptest! {
     ) {
         let dim = 4;
         let cone = cone_from(&sigs, dim);
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         for i in 0..12u64 {
             let values: Vec<f64> = (0..dim as u64)
@@ -62,14 +70,14 @@ proptest! {
             let obs = Observation::exact(&format!("p{i}"), &values);
             prop_assert_eq!(
                 batch.is_feasible(&obs),
-                checker.is_feasible(&obs),
+                fresh_is_feasible(&cone, &obs),
                 "exact verdict mismatch on {:?}",
                 obs.mean()
             );
         }
     }
 
-    /// Batched and per-observation verdicts agree on noisy observations —
+    /// Warm and fresh-engine verdicts agree on noisy observations —
     /// every observation carries its own correlated confidence region
     /// (distinct principal axes), so the batch path exercises the tableau
     /// rebind and certificate/witness harvesting.
@@ -80,7 +88,6 @@ proptest! {
     ) {
         let dim = 3;
         let cone = cone_from(&sigs, dim);
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         for i in 0..8u64 {
             let base: Vec<f64> = (0..dim as u64)
@@ -97,7 +104,7 @@ proptest! {
             let obs = Observation::from_samples(&format!("n{i}"), &samples, 0.99);
             prop_assert_eq!(
                 batch.is_feasible(&obs),
-                checker.is_feasible(&obs),
+                fresh_is_feasible(&cone, &obs),
                 "noisy verdict mismatch on observation {}",
                 i
             );
@@ -113,7 +120,6 @@ proptest! {
     ) {
         let dim = 3;
         let cone = cone_from(&sigs, dim);
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         for i in 0..6u64 {
             let base: Vec<f64> = (0..dim as u64)
@@ -132,7 +138,7 @@ proptest! {
                     .collect();
                 Observation::from_samples(&format!("s{i}"), &samples, 0.99)
             };
-            prop_assert_eq!(batch.is_feasible(&obs), checker.is_feasible(&obs));
+            prop_assert_eq!(batch.is_feasible(&obs), fresh_is_feasible(&cone, &obs));
         }
     }
 
@@ -142,7 +148,6 @@ proptest! {
     fn batched_agrees_on_degenerate_cones(seed in 0u64..10_000) {
         let dim = 3;
         let cone = cone_from(&[vec![0, 0, 0]], dim);
-        let checker = FeasibilityChecker::new(&cone);
         let mut batch = BatchFeasibility::new(&cone);
         prop_assert_eq!(cone.num_generators(), 0);
         for i in 0..6u64 {
@@ -150,7 +155,7 @@ proptest! {
                 .map(|d| pseudo(seed, i * 8 + d, 3.0).floor())
                 .collect();
             let obs = Observation::exact(&format!("z{i}"), &values);
-            prop_assert_eq!(batch.is_feasible(&obs), checker.is_feasible(&obs));
+            prop_assert_eq!(batch.is_feasible(&obs), fresh_is_feasible(&cone, &obs));
         }
         let origin = Observation::exact("origin", &[0.0, 0.0, 0.0]);
         prop_assert!(batch.is_feasible(&origin));

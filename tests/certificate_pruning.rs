@@ -2,14 +2,14 @@
 //! observation for a model from the shared pool instead of solving the LP —
 //! refuted by a Farkas certificate cached from *another* model, or settled
 //! feasible by a witness ray harvested from another model — re-checking that
-//! (model, observation) pair with the cold per-observation solver must agree.
+//! (model, observation) pair with a fresh engine's cold solve must agree.
 //! The containment checks (`c · g ≥ 0` for every generator on the certificate
 //! side, support ⊆ generators on the witness side) plus the region-side
 //! margins are supposed to make every pool hit *exactly* the verdict the LP
 //! would return — this suite holds both directions to that.
 
 use counterpoint::mudd::{CounterSignature, CounterSpace};
-use counterpoint::{FeasibilityChecker, FeatureSet, LatticeSearch, ModelCone, Observation};
+use counterpoint::{BatchFeasibility, FeatureSet, LatticeSearch, ModelCone, Observation};
 use proptest::prelude::*;
 
 const DIM: usize = 3;
@@ -79,10 +79,9 @@ proptest! {
         for pruned in &stats.pruned_models {
             let features: FeatureSet = pruned.features.iter().cloned().collect();
             let model = generator(&features);
-            let checker = FeasibilityChecker::new(&model);
             for &obs in &pruned.pruned_observations {
                 prop_assert!(
-                    !checker.is_feasible(&observations[obs]),
+                    BatchFeasibility::new(&model).verdict(&observations[obs]).is_refuted(),
                     "certificate pruned a feasible pair: model {:?}, observation {:?}",
                     pruned.features,
                     observations[obs].mean()
@@ -91,7 +90,7 @@ proptest! {
             }
             for &obs in &pruned.witness_observations {
                 prop_assert!(
-                    checker.is_feasible(&observations[obs]),
+                    BatchFeasibility::new(&model).verdict(&observations[obs]).is_feasible(),
                     "witness ray settled an infeasible pair: model {:?}, observation {:?}",
                     pruned.features,
                     observations[obs].mean()
@@ -133,11 +132,12 @@ fn pruning_fires_and_is_sound_on_the_guaranteed_lattice() {
     );
     for pruned in &stats.pruned_models {
         let features: FeatureSet = pruned.features.iter().cloned().collect();
-        let checker_cone = generator(&features);
-        let checker = FeasibilityChecker::new(&checker_cone);
+        let model = generator(&features);
         for &obs in &pruned.pruned_observations {
             assert!(
-                !checker.is_feasible(&observations[obs]),
+                BatchFeasibility::new(&model)
+                    .verdict(&observations[obs])
+                    .is_refuted(),
                 "pruned pair must be cold-infeasible: {:?} / {:?}",
                 pruned.features,
                 observations[obs].name()
@@ -145,7 +145,9 @@ fn pruning_fires_and_is_sound_on_the_guaranteed_lattice() {
         }
         for &obs in &pruned.witness_observations {
             assert!(
-                checker.is_feasible(&observations[obs]),
+                BatchFeasibility::new(&model)
+                    .verdict(&observations[obs])
+                    .is_feasible(),
                 "witness-settled pair must be cold-feasible: {:?} / {:?}",
                 pruned.features,
                 observations[obs].name()

@@ -7,7 +7,7 @@ use counterpoint::haswell::full_counter_space;
 use counterpoint::haswell::hec::cumulative_group_space;
 use counterpoint::models::family::{build_feature_model, feature_sets_table3};
 use counterpoint::numeric::{RatMatrix, RatVector};
-use counterpoint::{deduce_constraints, FeasibilityChecker, Observation};
+use counterpoint::{deduce_constraints, BatchFeasibility, Observation};
 use counterpoint_geometry::{ConeFacets, ConstraintSense, GeneratorCone};
 
 fn model(name: &str) -> counterpoint::ModelCone {
@@ -126,17 +126,16 @@ fn violated_constraints_explain_lp_infeasibility() {
     ];
     let m0 = model("m0").project(&space_names);
     let constraints = deduce_constraints(&m0);
-    let checker = FeasibilityChecker::new(&m0);
+    let mut engine = BatchFeasibility::new(&m0);
 
     // Infeasible: more PDE misses than walks.
     let bad = Observation::exact("bad", &[1000.0, 100.0, 50.0, 50.0, 50.0, 0.0, 0.0, 80.0]);
-    let report = checker.check(&bad, Some(&constraints));
-    assert!(!report.feasible);
-    assert!(!report.violated.is_empty());
+    assert!(engine.verdict(&bad).is_refuted());
+    let violated = constraints.violated_by(bad.region());
+    assert!(!violated.is_empty());
     // The reported violations must point at the counters responsible for the
     // inconsistency (PDE misses exceeding walks / misses not matching walks).
-    assert!(report
-        .violated
+    assert!(violated
         .iter()
         .any(|c| c.text().contains("load.pde$_miss") || c.text().contains("load.ret_stlb_miss")));
 
@@ -145,9 +144,8 @@ fn violated_constraints_explain_lp_infeasibility() {
         "good",
         &[1000.0, 100.0, 100.0, 100.0, 100.0, 0.0, 0.0, 40.0],
     );
-    let report = checker.check(&good, Some(&constraints));
-    assert!(report.feasible);
-    assert!(report.violated.is_empty());
+    assert!(engine.verdict(&good).is_feasible());
+    assert!(constraints.violated_by(good.region()).is_empty());
 }
 
 #[test]

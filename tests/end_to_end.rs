@@ -10,7 +10,7 @@ use counterpoint::models::family::{
 };
 use counterpoint::models::harness::{case_study_campaign, HarnessConfig};
 use counterpoint::workloads::{LinearAccess, RandomAccess, Workload};
-use counterpoint::{FeasibilityChecker, NoiseModel, Observation};
+use counterpoint::{BatchFeasibility, NoiseModel, Observation};
 
 /// The case-study observation set for a config.
 fn collect(config: &HarnessConfig) -> Vec<Observation> {
@@ -30,7 +30,7 @@ fn feature_complete_model_explains_noiseless_ground_truth() {
     let observations = collect(&config);
     let m4 = model("m4");
     assert_eq!(
-        FeasibilityChecker::new(&m4).count_infeasible(&observations),
+        BatchFeasibility::new(&m4).count_infeasible(&observations),
         0
     );
 }
@@ -41,7 +41,7 @@ fn conventional_model_is_refuted_by_ground_truth() {
     config.accesses_per_workload = 15_000;
     let observations = collect(&config);
     let m0 = model("m0");
-    assert!(FeasibilityChecker::new(&m0).count_infeasible(&observations) > 0);
+    assert!(BatchFeasibility::new(&m0).count_infeasible(&observations) > 0);
 }
 
 #[test]
@@ -59,9 +59,13 @@ fn merging_specific_observation_separates_m7_from_m4() {
     mmu.run(accesses.iter().copied(), PageSize::Size4K);
     let obs = Observation::exact("linear-256", &mmu.counts().to_vector(&space));
 
-    assert!(FeasibilityChecker::new(&model("m4")).is_feasible(&obs));
+    assert!(BatchFeasibility::new(&model("m4"))
+        .verdict(&obs)
+        .is_feasible());
     assert!(
-        !FeasibilityChecker::new(&model("m7")).is_feasible(&obs),
+        BatchFeasibility::new(&model("m7"))
+            .verdict(&obs)
+            .is_refuted(),
         "a model without walk merging must be refuted by the merged-walk observation"
     );
 }
@@ -81,9 +85,13 @@ fn prefetcher_specific_observation_separates_m5_from_m4() {
     mmu.run(accesses.iter().copied(), PageSize::Size4K);
     let obs = Observation::exact("linear-64-steady", &mmu.counts().to_vector(&space));
 
-    assert!(FeasibilityChecker::new(&model("m4")).is_feasible(&obs));
+    assert!(BatchFeasibility::new(&model("m4"))
+        .verdict(&obs)
+        .is_feasible());
     assert!(
-        !FeasibilityChecker::new(&model("m5")).is_feasible(&obs),
+        BatchFeasibility::new(&model("m5"))
+            .verdict(&obs)
+            .is_refuted(),
         "a model without TLB prefetching must be refuted by the prefetch-dominated observation"
     );
 }
@@ -103,9 +111,13 @@ fn bypass_specific_observation_separates_m3_from_m4() {
     mmu.run(accesses.iter().copied(), PageSize::Size4K);
     let obs = Observation::exact("random-first-touch", &mmu.counts().to_vector(&space));
 
-    assert!(FeasibilityChecker::new(&model("m4")).is_feasible(&obs));
+    assert!(BatchFeasibility::new(&model("m4"))
+        .verdict(&obs)
+        .is_feasible());
     assert!(
-        !FeasibilityChecker::new(&model("m3")).is_feasible(&obs),
+        BatchFeasibility::new(&model("m3"))
+            .verdict(&obs)
+            .is_refuted(),
         "a model without walk bypassing must be refuted by reference-free walks"
     );
 }
@@ -120,7 +132,7 @@ fn m8_without_pml4e_cache_still_explains_ground_truth() {
     let observations = collect(&config);
     let m8 = model("m8");
     assert_eq!(
-        FeasibilityChecker::new(&m8).count_infeasible(&observations),
+        BatchFeasibility::new(&m8).count_infeasible(&observations),
         0
     );
 }
@@ -146,7 +158,9 @@ fn noisy_multiplexed_observations_still_accept_the_true_model() {
         0.99,
         NoiseModel::Correlated,
     );
-    assert!(FeasibilityChecker::new(&model("m4")).is_feasible(&obs));
+    assert!(BatchFeasibility::new(&model("m4"))
+        .verdict(&obs)
+        .is_feasible());
 }
 
 #[test]
@@ -158,7 +172,7 @@ fn speculative_trigger_models_accept_everything_the_abstract_model_accepts() {
     let (name, spec) = &specs[0]; // t0
     let t0 = build_trigger_model(name, spec);
     assert_eq!(
-        FeasibilityChecker::new(&t0).count_infeasible(&observations),
+        BatchFeasibility::new(&t0).count_infeasible(&observations),
         0
     );
 }

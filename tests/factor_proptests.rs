@@ -13,10 +13,10 @@
 //!    `(l0 + l2) + (l1 + l3)` lane fold; the property compares every solve of
 //!    a warm-started sequence bitwise.
 //! 2. **Escalation soundness.**  A *confident* tier-1 verdict must agree with
-//!    the exact engine, and the two-tier [`BatchFeasibility`] front end must
-//!    never answer differently from the always-exact
-//!    [`FeasibilityChecker`] — tier-2 escalation may cost time, never
-//!    correctness.
+//!    the exact engine, and the two-tier [`BatchFeasibility`] decision must
+//!    never answer differently from a fresh engine's always-cold
+//!    [`verdict`](BatchFeasibility::verdict) — tier-2 escalation may cost
+//!    time, never correctness.
 //!
 //! The vendored proptest shim draws inputs from a deterministic per-test RNG,
 //! so these suites are reproducible run-to-run.
@@ -24,7 +24,7 @@
 use counterpoint::lp::factor::{dot4, dot4_diff, padded, LANES};
 use counterpoint::lp::{FactorTableau, Tableau};
 use counterpoint::mudd::{CounterSignature, CounterSpace};
-use counterpoint::{BatchFeasibility, FeasibilityChecker, ModelCone, Observation};
+use counterpoint::{BatchFeasibility, ModelCone, Observation};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -437,8 +437,8 @@ proptest! {
 
     /// Tier-2 escalation never changes a verdict: the two-tier
     /// `BatchFeasibility` front end — cold per observation and warm-started
-    /// across a whole observation set — answers exactly like the always-exact
-    /// `FeasibilityChecker` on random cones, random points, and points
+    /// across a whole observation set — answers exactly like a fresh engine's
+    /// always-cold `verdict` on random cones, random points, and points
     /// constructed to lie inside the cone (nonnegative signature
     /// combinations, so both branches of the verdict get exercised).
     #[test]
@@ -450,7 +450,6 @@ proptest! {
         weights in pvec(0.0f64..3.0, 5..6),
     ) {
         let cone = cone_from_counts(dim, num_sigs, &sig_data);
-        let checker = FeasibilityChecker::new(&cone);
 
         let mut observations: Vec<Observation> = (0..6)
             .map(|i| Observation::exact(&format!("o{i}"), &obs_data[i * dim..(i + 1) * dim]))
@@ -468,7 +467,7 @@ proptest! {
 
         let mut warm = BatchFeasibility::new(&cone);
         for obs in &observations {
-            let expected = checker.is_feasible(obs);
+            let expected = !BatchFeasibility::new(&cone).verdict(obs).is_refuted();
             prop_assert_eq!(
                 BatchFeasibility::new(&cone).is_feasible(obs),
                 expected,

@@ -4,7 +4,7 @@
 //! feasible for the same data.
 
 use counterpoint::{
-    compile_uop, deduce_constraints, CounterSpace, FeasibilityChecker, Inquiry, ModelCone,
+    compile_uop, deduce_constraints, BatchFeasibility, CounterSpace, Inquiry, ModelCone,
     Observation,
 };
 
@@ -45,7 +45,9 @@ fn microbenchmark() -> Observation {
 #[test]
 fn initial_pde_cache_model_is_refuted_by_the_microbenchmark() {
     let cone = cone("initial", INITIAL_MODEL);
-    assert!(!FeasibilityChecker::new(&cone).is_feasible(&microbenchmark()));
+    let verdict = BatchFeasibility::new(&cone).verdict(&microbenchmark());
+    assert!(verdict.is_refuted());
+    assert!(verdict.certificate().is_some());
 }
 
 #[test]
@@ -66,10 +68,12 @@ fn initial_model_implies_misses_bounded_by_walks() {
         "expected a pde$_miss / causes_walk facet, got: {rendered:?}"
     );
 
-    let report = FeasibilityChecker::new(&cone).check(&microbenchmark(), Some(&constraints));
-    assert!(!report.feasible);
+    let observation = microbenchmark();
+    assert!(BatchFeasibility::new(&cone)
+        .verdict(&observation)
+        .is_refuted());
     assert!(
-        !report.violated.is_empty(),
+        !constraints.violated_by(observation.region()).is_empty(),
         "the refutation must name at least one violated constraint"
     );
 }
@@ -77,7 +81,9 @@ fn initial_model_implies_misses_bounded_by_walks() {
 #[test]
 fn refined_model_is_feasible_for_the_same_observation() {
     let cone = cone("refined", REFINED_MODEL);
-    assert!(FeasibilityChecker::new(&cone).is_feasible(&microbenchmark()));
+    assert!(BatchFeasibility::new(&cone)
+        .verdict(&microbenchmark())
+        .is_feasible());
 }
 
 #[test]
@@ -132,21 +138,29 @@ fn session_verdicts_carry_checkable_certificates() {
 fn refinement_strictly_relaxes_the_initial_model() {
     // Every observation feasible under the initial model stays feasible under
     // the refined one (the refinement only adds behaviours): spot-check the
-    // lattice of small integer observations.
+    // lattice of small integer observations.  One warm engine per model
+    // sweeps the grid, and each decision must match a fresh engine's.
     let initial = cone("initial", INITIAL_MODEL);
     let refined = cone("refined", REFINED_MODEL);
-    let initial_checker = FeasibilityChecker::new(&initial);
-    let refined_checker = FeasibilityChecker::new(&refined);
+    let mut initial_engine = BatchFeasibility::new(&initial);
+    let mut refined_engine = BatchFeasibility::new(&refined);
     let mut initial_feasible = 0usize;
     for walks in 0..8u32 {
         for misses in 0..8u32 {
             let obs = Observation::exact("grid", &[f64::from(walks), f64::from(misses)]);
-            if initial_checker.is_feasible(&obs) {
+            let in_initial = initial_engine.is_feasible(&obs);
+            let in_refined = refined_engine.is_feasible(&obs);
+            assert_eq!(
+                in_initial,
+                BatchFeasibility::new(&initial).verdict(&obs).is_feasible()
+            );
+            assert_eq!(
+                in_refined,
+                BatchFeasibility::new(&refined).verdict(&obs).is_feasible()
+            );
+            if in_initial {
                 initial_feasible += 1;
-                assert!(
-                    refined_checker.is_feasible(&obs),
-                    "refinement must not refute ({walks}, {misses})"
-                );
+                assert!(in_refined, "refinement must not refute ({walks}, {misses})");
             }
         }
     }

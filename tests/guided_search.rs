@@ -111,8 +111,7 @@ fn guided_search_discovers_a_feasible_model_from_scratch() {
     for set in &graph.minimal_feasible {
         let features: FeatureSet = set.iter().cloned().collect();
         let cone = build_feature_model("minimal", &features);
-        let infeasible =
-            counterpoint::FeasibilityChecker::new(&cone).count_infeasible(&observations);
+        let infeasible = counterpoint::BatchFeasibility::new(&cone).count_infeasible(&observations);
         assert_eq!(infeasible, 0, "minimal set {set:?} must be feasible");
     }
 }

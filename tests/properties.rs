@@ -10,11 +10,19 @@ use counterpoint::mudd::{CounterSignature, CounterSpace};
 use counterpoint::stats::{ConfidenceRegion, NoiseModel};
 use counterpoint::workloads::{RandomAccess, Workload};
 use counterpoint::{
-    deduce_constraints, CounterBackend, EventSchedule, FeasibilityChecker, ModelCone, Observation,
+    deduce_constraints, BatchFeasibility, CounterBackend, EventSchedule, ModelCone, Observation,
     SimBackend, WorkloadRun,
 };
 use counterpoint_numeric::RatVector;
 use proptest::prelude::*;
+
+/// A fresh engine's decision: one cold solve that depends on the cone and the
+/// observation alone.
+fn fresh_is_feasible(cone: &ModelCone, observation: &Observation) -> bool {
+    !BatchFeasibility::new(cone)
+        .verdict(observation)
+        .is_refuted()
+}
 
 /// Strategy: a small set of counter signatures over `dim` counters.
 fn signatures(dim: usize, max_sigs: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
@@ -53,7 +61,7 @@ proptest! {
             }
         }
         let obs = Observation::exact("combo", &totals);
-        prop_assert!(FeasibilityChecker::new(&cone).is_feasible(&obs));
+        prop_assert!(BatchFeasibility::new(&cone).verdict(&obs).is_feasible());
     }
 
     /// Exact cone membership (via deduced facets) and LP feasibility must agree.
@@ -72,7 +80,7 @@ proptest! {
             .all(|c| c.constraint().is_satisfied_by(&rat_point));
 
         let obs = Observation::exact("point", &point.iter().map(|&x| x as f64).collect::<Vec<_>>());
-        let by_lp = FeasibilityChecker::new(&cone).is_feasible(&obs);
+        let by_lp = fresh_is_feasible(&cone, &obs);
         prop_assert_eq!(by_facets, by_lp, "facet membership and LP feasibility disagree");
     }
 
@@ -93,7 +101,8 @@ proptest! {
     }
 
     /// Scaling an observation by a positive factor never changes cone membership
-    /// (the model cone is a cone).
+    /// (the model cone is a cone), and one warm engine deciding both agrees
+    /// with fresh engines.
     #[test]
     fn feasibility_is_scale_invariant(sigs in signatures(3, 5), flow_seed in flows(5), scale in 2u64..20) {
         let dim = 3;
@@ -101,7 +110,7 @@ proptest! {
         let counter_sigs: Vec<CounterSignature> = sigs.iter().map(|s| CounterSignature::from_counts(s.clone())).collect();
         let n = counter_sigs.len();
         let cone = ModelCone::from_signatures("prop", &space, counter_sigs, n);
-        let checker = FeasibilityChecker::new(&cone);
+        let mut warm = BatchFeasibility::new(&cone);
 
         let mut totals = vec![0.0f64; dim];
         for (f, sig) in flow_seed.iter().zip(sigs.iter()) {
@@ -110,9 +119,13 @@ proptest! {
             }
         }
         let scaled: Vec<f64> = totals.iter().map(|t| t * scale as f64).collect();
-        let a = checker.is_feasible(&Observation::exact("base", &totals));
-        let b = checker.is_feasible(&Observation::exact("scaled", &scaled));
+        let base = Observation::exact("base", &totals);
+        let scaled = Observation::exact("scaled", &scaled);
+        let a = warm.is_feasible(&base);
+        let b = warm.is_feasible(&scaled);
         prop_assert_eq!(a, b);
+        prop_assert_eq!(a, fresh_is_feasible(&cone, &base));
+        prop_assert_eq!(b, fresh_is_feasible(&cone, &scaled));
     }
 
     /// Confidence regions always contain their own sample mean, and the correlated
@@ -127,14 +140,15 @@ proptest! {
     }
 
     /// A widened confidence region can only make more observations feasible, never
-    /// fewer (monotonicity of the feasibility test in the region size).
+    /// fewer (monotonicity of the feasibility test in the region size), and
+    /// one warm engine deciding both agrees with fresh engines.
     #[test]
     fn wider_regions_are_monotonically_more_feasible(sigs in signatures(3, 5), center in proptest::collection::vec(1.0f64..200.0, 3)) {
         let space = space(3);
         let counter_sigs: Vec<CounterSignature> = sigs.iter().map(|s| CounterSignature::from_counts(s.clone())).collect();
         let n = counter_sigs.len();
         let cone = ModelCone::from_signatures("prop", &space, counter_sigs, n);
-        let checker = FeasibilityChecker::new(&cone);
+        let mut warm = BatchFeasibility::new(&cone);
 
         // Narrow region: the exact point.  Wide region: synthetic samples spread
         // around the same mean.
@@ -143,8 +157,12 @@ proptest! {
             .map(|i| center.iter().map(|c| c + ((i % 7) as f64 - 3.0) * 20.0).collect())
             .collect();
         let wide = Observation::from_samples("wide", &samples, 0.999);
-        if checker.is_feasible(&narrow) {
-            prop_assert!(checker.is_feasible(&wide));
+        let narrow_feasible = warm.is_feasible(&narrow);
+        let wide_feasible = warm.is_feasible(&wide);
+        prop_assert_eq!(narrow_feasible, fresh_is_feasible(&cone, &narrow));
+        prop_assert_eq!(wide_feasible, fresh_is_feasible(&cone, &wide));
+        if narrow_feasible {
+            prop_assert!(wide_feasible);
         }
     }
 }
