@@ -14,8 +14,14 @@
 //! Unknown experiment names and flags are rejected with a usage message.
 //! Every valued flag also accepts the `--flag=value` spelling.
 //! `--quick` reduces the simulated access counts (for smoke testing).
-//! `--seed` overrides the PMU multiplexing-scheduler seed on the campaign-driven
-//! experiments (default unchanged, so output stays reproducible), and
+//! The case-study campaign is collected once per access budget and shared by
+//! every experiment at that budget (`table3` and `table7`; `fig9`, `fig10` and
+//! `enumerate`).
+//! `--seed` overrides the PMU multiplexing-scheduler seed of that campaign, so
+//! it reseeds `table3`, `table7`, `fig9`, `fig10` and `enumerate` (default
+//! unchanged, so output stays reproducible); `table5` runs on a noiseless PMU
+//! that no seed changes, and `stats` keeps the default PMU seed, so its
+//! printed violation counts stay pinned.
 //! `--threads` fans the observation campaign and the model family across worker
 //! threads through the `counterpoint-collect` runner and the session layer
 //! (`0` = available parallelism; output is identical for every thread count),
@@ -45,7 +51,7 @@ use counterpoint::models::family::{
     abort_specs_table7, build_abort_model, build_feature_model, build_trigger_model,
     feature_sets_table3, trigger_specs_table5,
 };
-use counterpoint::models::harness::{case_study_campaign, observe_trace, HarnessConfig};
+use counterpoint::models::harness::{observe_trace, HarnessConfig};
 use counterpoint::models::Feature;
 use counterpoint::telemetry::span;
 use counterpoint::workloads::{GraphTraversal, LinearAccess, Workload};
@@ -53,9 +59,7 @@ use counterpoint::{
     compile_uop, deduce_constraints, BatchFeasibility, CounterSpace, ExplorationModel,
     FeasibilityVerdict, FeatureSet, Inquiry, ModelCone, NoiseModel, Observation, Report,
 };
-use counterpoint_bench::{
-    experiment_config, experiment_observations_opts, projected_model, table3_model,
-};
+use counterpoint_bench::{experiment_observations_opts, projected_model, table3_model};
 use counterpoint_haswell::eventdb::{event_database, growth_factor};
 use counterpoint_haswell::full_counter_space;
 use counterpoint_haswell::hec::cumulative_group_space;
@@ -66,6 +70,8 @@ use counterpoint_mudd::CounterSignature;
 use counterpoint_stats::{pearson, ConfidenceRegion};
 use serde::Serialize;
 use serde_json::JsonValue;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The valid `<which>` selectors, in run order.
@@ -86,9 +92,15 @@ const EXPERIMENTS: [&str; 14] = [
     "enumerate",
 ];
 
+/// The case-study observation sets collected so far in this process, keyed by
+/// access budget: `--seed` and `--threads` are fixed for a process, and the
+/// observations are identical at every thread count, so the budget alone
+/// names a collection.
+type Collections = RefCell<BTreeMap<usize, Vec<Observation>>>;
+
 /// Run-wide options parsed from the command line.
 #[derive(Clone, Copy)]
-struct Opts {
+struct Opts<'a> {
     /// Per-workload access budget.
     accesses: usize,
     /// PMU multiplexing-scheduler seed override (`--seed`).
@@ -102,25 +114,31 @@ struct Opts {
     enumerate_depth: usize,
     /// Canonical-model cap for the `enumerate` experiment (`--max-models`).
     max_models: usize,
+    /// Every experiment's case-study collections, shared for the whole run.
+    collections: &'a Collections,
 }
 
-impl Opts {
-    /// Collects the case-study observation set honouring `--seed`/`--threads`.
+impl Opts<'_> {
+    /// The case-study observation set at the given access budget, honouring
+    /// `--seed`/`--threads`.  The campaign is simulated on the first request
+    /// for a budget (under a top-level `case_study_collect` span); later
+    /// requests reuse that collection.
     fn observations(&self, accesses: usize) -> Vec<Observation> {
-        experiment_observations_opts(accesses, self.seed, self.threads)
+        self.collections
+            .borrow_mut()
+            .entry(accesses)
+            .or_insert_with(|| {
+                let _span = span("case_study_collect", &accesses.to_string());
+                experiment_observations_opts(accesses, self.seed, self.threads)
+            })
+            .clone()
     }
 
-    /// An [`Inquiry`] over the case-study campaign at the given access budget,
-    /// honouring `--seed`/`--threads` (the session-layer analogue of
-    /// [`observations`](Opts::observations)).
+    /// An [`Inquiry`] over the case-study observations at the given access
+    /// budget (see [`observations`](Opts::observations)).
     fn inquiry(&self, accesses: usize) -> Inquiry {
-        let mut config = experiment_config(accesses);
-        if let Some(seed) = self.seed {
-            config.pmu.seed = seed;
-        }
-        let campaign = case_study_campaign(&config);
         Inquiry::new()
-            .sim_campaign(campaign, config.mmu.clone(), config.pmu.clone())
+            .observations(self.observations(accesses))
             .threads(self.threads)
     }
 }
@@ -223,6 +241,7 @@ fn main() {
         .telemetry
         .as_ref()
         .map(|_| counterpoint::telemetry::Recording::start());
+    let collections = Collections::default();
     let opts = Opts {
         accesses: if cli.quick { 20_000 } else { 60_000 },
         seed: cli.seed,
@@ -230,6 +249,7 @@ fn main() {
         search_threads: cli.search_threads,
         enumerate_depth: cli.enumerate_depth,
         max_models: cli.max_models,
+        collections: &collections,
     };
 
     // Session reports are converted to the JSON value model only when
@@ -643,10 +663,8 @@ fn table5(opts: &Opts) -> Report {
     // The trigger analysis focuses on the linear microbenchmark instances (paper,
     // Appendix C.2), run to steady state.
     let accesses = opts.accesses;
-    let mut config = HarnessConfig::quick();
-    if let Some(seed) = opts.seed {
-        config.pmu.seed = seed;
-    }
+    let config = HarnessConfig::quick();
+    let setup_span = span("table5_setup", "");
     let mut observations = Vec::new();
     for (label, store_ratio) in [("loads", 0.0f64), ("stores", 1.0)] {
         let workload = LinearAccess {
@@ -669,6 +687,7 @@ fn table5(opts: &Opts) -> Report {
             ExplorationModel::new(name, FeatureSet::new(), build_trigger_model(name, spec))
         })
         .collect();
+    drop(setup_span);
     let report = Inquiry::new()
         .observations(observations)
         .threads(opts.threads)
@@ -1090,6 +1109,61 @@ mod tests {
             ),
         ] {
             assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn case_study_collections_are_memoized_per_budget() {
+        use counterpoint::models::harness::case_study_campaign;
+        use counterpoint::telemetry::{Metric, Recording};
+        use counterpoint_bench::experiment_config;
+
+        let collections = Collections::default();
+        let opts = Opts {
+            accesses: 1_000,
+            seed: None,
+            threads: 1,
+            search_threads: None,
+            enumerate_depth: 2,
+            max_models: 512,
+            collections: &collections,
+        };
+        let budgets = [1_000usize, 2_000];
+        let cells = case_study_campaign(&experiment_config(budgets[0]))
+            .cells()
+            .len();
+        let lookup = || {
+            let recording = Recording::start();
+            let sets = budgets.map(|n| format!("{:?}", opts.observations(n)));
+            (sets, recording.finish().counter(Metric::CampaignCells))
+        };
+        let (first, collected) = lookup();
+        assert_eq!(collected, 2 * cells as u64, "one collection per budget");
+        assert_ne!(first[0], first[1], "the two budgets share a collection");
+        let (again, recollected) = lookup();
+        assert_eq!(recollected, 0, "a second lookup ran another collection");
+        assert_eq!(again, first);
+
+        for n in budgets {
+            let table3_style = |inquiry: Inquiry| {
+                inquiry
+                    .model("m0", table3_model("m0"))
+                    .model("m4", table3_model("m4"))
+                    .run()
+                    .unwrap()
+                    .to_json()
+            };
+            let config = experiment_config(n);
+            let simulated = Inquiry::new().sim_campaign(
+                case_study_campaign(&config),
+                config.mmu.clone(),
+                config.pmu.clone(),
+            );
+            assert_eq!(
+                table3_style(opts.inquiry(n)),
+                table3_style(simulated),
+                "budget {n}"
+            );
         }
     }
 }
