@@ -18,10 +18,11 @@ use counterpoint_core::FeatureSet;
 use counterpoint_haswell::hec::{names, AccessType};
 use counterpoint_haswell::mem::PageSize;
 use counterpoint_mudd::{CounterSpace, MuDd, MuDdBuilder, NodeId};
+use std::cmp::Ordering;
 
 /// Where an inline (retiring-μop-triggered) prefetch request may be attached to a
 /// demand μop's paths — used by the prefetch-trigger model family (`t9`–`t17`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PrefetchAttachPoint {
     /// Any retiring μop of the triggering type may issue a prefetch.
     Always,
@@ -32,7 +33,7 @@ pub enum PrefetchAttachPoint {
 }
 
 /// Options controlling the shape of a demand μDD.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DemandOptions {
     /// Which μop type the diagram describes.
     pub access: AccessType,
@@ -53,6 +54,23 @@ impl DemandOptions {
             features: features.clone(),
             inline_prefetch: None,
         }
+    }
+}
+
+/// Orders options by access type (loads first), inline prefetch, then
+/// features, so options can key ordered caches.
+impl Ord for DemandOptions {
+    fn cmp(&self, other: &DemandOptions) -> Ordering {
+        let key = |o: &DemandOptions| (o.access == AccessType::Store, o.inline_prefetch);
+        key(self)
+            .cmp(&key(other))
+            .then_with(|| self.features.cmp(&other.features))
+    }
+}
+
+impl PartialOrd for DemandOptions {
+    fn partial_cmp(&self, other: &DemandOptions) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

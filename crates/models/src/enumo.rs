@@ -9,8 +9,11 @@
 //! production, expanded by metric-bounded `plug` iteration — and collapses the
 //! raw candidates to a canonical [`ModelFamily`]:
 //!
-//! 1. **Interpretation**: each closed term becomes a [`ModelSpec`] (feature
-//!    subset, optional trigger condition, abort-point set).
+//! 1. **Interpretation**: a raw candidate is one closed term of each
+//!    production, read as a [`ModelSpec`] (feature subset, optional trigger
+//!    condition, abort-point set).  A spec reads its lists only as sets, so
+//!    the raw cross product is counted, not built: each list production's
+//!    distinct sets are crossed instead.
 //! 2. **Canonicalization**: features and abort points are sorted and deduped;
 //!    a trigger condition is dropped unless the spec prefetches at all; abort
 //!    points are dropped when walk bypassing subsumes them.  Symmetric terms
@@ -18,10 +21,13 @@
 //!    and the surviving specs are ordered by their canonical signature — the
 //!    result is a pure function of the grammar's *language*, not of the order
 //!    its productions were written in.
-//! 3. **Structural dedup**: each spec's model cone is built (with the
-//!    fallible, path-bounded builders — a candidate whose μDD exceeds the
-//!    path budget is skipped and counted, never a panic) and specs whose
-//!    cones have identical generator multisets are collapsed.
+//! 3. **Structural dedup**: no cone is built.  Each spec resolves to its μDD
+//!    inputs, and its structure is the sorted union of those μDDs' cached,
+//!    deduplicated path signatures — the signature set its cone would have.
+//!    Specs with equal structures are collapsed, and specs with equal inputs
+//!    are decided once.  A spec with a μDD over the path budget is skipped
+//!    and counted, never a panic.  Members' cones are built later, on
+//!    demand, from the same cached signatures.
 //!
 //! The canonical members are grouped by *assumption signature* (trigger +
 //! abort points); each [`FamilyGroup`] spans a feature sub-lattice and plugs
@@ -31,15 +37,13 @@
 
 use crate::aborts::AbortPoint;
 use crate::family::{
-    assemble_cone, cached_demand_mudd, cached_prefetch_mudd, trigger_specs_table5,
+    assemble_cone, mudd_inputs, mudd_paths, trigger_specs_table5, MuddInput, MuddPaths,
 };
-use crate::features::{has, to_feature_set, Feature};
+use crate::features::{to_feature_set, Feature};
 use crate::prefetch::TriggerSpec;
 use counterpoint_core::{FeatureSet, ModelCone};
-use counterpoint_haswell::full_counter_space;
-use counterpoint_haswell::hec::AccessType;
 use counterpoint_mudd::grammar::{Term, Workload};
-use counterpoint_mudd::{MuDd, MuDdError};
+use counterpoint_mudd::MuDdError;
 use counterpoint_telemetry as telemetry;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,7 +104,7 @@ pub struct EnumOptions {
     /// abort-list length.
     pub max_depth: usize,
     /// Cap on canonical family members (applied in canonical signature
-    /// order, before cones are built).
+    /// order, before the structural pass).
     pub max_models: usize,
     /// Specs with more features are dropped during interpretation.
     pub max_features: usize,
@@ -284,8 +288,8 @@ pub struct ModelFamily {
     pub canonical_candidates: usize,
     /// Candidates skipped because their μDDs exceeded the path budget.
     pub skipped_path_limit: usize,
-    /// Candidates dropped because an earlier member's cone had the same
-    /// generator multiset.
+    /// Candidates dropped because an earlier member's cone has the same
+    /// signature set (compared without building either cone).
     pub structural_duplicates: usize,
 }
 
@@ -312,48 +316,29 @@ pub fn try_build_enumerated_model(
     spec: &ModelSpec,
     max_paths: Option<usize>,
 ) -> Result<ModelCone, MuDdError> {
-    let space = full_counter_space();
-    let features = spec.feature_set();
-    let mut load_opts = crate::demand::DemandOptions::new(AccessType::Load, &features);
-    let mut store_opts = crate::demand::DemandOptions::new(AccessType::Store, &features);
-    let mut standalone_prefetch = false;
-    if has(&features, Feature::TlbPrefetch) {
-        match &spec.trigger {
-            // Abstract prefetching (the initial-search form) and speculative
-            // triggers both use the stand-alone prefetch μop.
-            None => standalone_prefetch = true,
-            Some((_, t)) if t.speculative => standalone_prefetch = true,
-            Some((_, t)) => {
-                let attach = if t.stlb_miss {
-                    crate::demand::PrefetchAttachPoint::AfterStlbMiss
-                } else if t.dtlb_miss {
-                    crate::demand::PrefetchAttachPoint::AfterDtlbMiss
-                } else {
-                    crate::demand::PrefetchAttachPoint::Always
-                };
-                if t.load {
-                    load_opts.inline_prefetch = Some(attach);
-                }
-                if t.store {
-                    store_opts.inline_prefetch = Some(attach);
-                }
-            }
-        }
-    }
-    let load = cached_demand_mudd(&space, &load_opts);
-    let store = cached_demand_mudd(&space, &store_opts);
-    let mut mudds: Vec<Arc<MuDd>> = vec![load, store];
-    if standalone_prefetch {
-        mudds.push(cached_prefetch_mudd(
-            &space,
-            has(&features, Feature::EarlyPsc),
-            has(&features, Feature::Pml4eCache),
-        ));
-    }
-    if let Some(aborted) = crate::aborts::abort_request_mudd(&space, &spec.aborts) {
-        mudds.push(Arc::new(aborted));
-    }
-    assemble_cone(name, &mudds, max_paths)
+    assemble_cone(name, &spec_mudd_inputs(spec), max_paths)
+}
+
+/// The μDD inputs of an enumerated spec (see [`mudd_inputs`]).
+fn spec_mudd_inputs(spec: &ModelSpec) -> Vec<MuddInput> {
+    let trigger = spec.trigger.as_ref().map(|(_, t)| t);
+    mudd_inputs(&spec.feature_set(), trigger, &spec.aborts)
+}
+
+/// The structure expansion compares specs by: the sorted union of their
+/// μDDs' distinct path signatures, which is the sorted signature set of
+/// their cone.  `None` when a diagram has more than `max_paths` μpaths.
+fn cone_structure(inputs: &[MuddInput], max_paths: Option<usize>) -> Option<Vec<Vec<u32>>> {
+    let parts: Vec<Arc<MuddPaths>> = inputs
+        .iter()
+        .map(|input| mudd_paths(input, max_paths))
+        .collect::<Result<_, _>>()
+        .ok()?;
+    let union: BTreeSet<&[u32]> = parts
+        .iter()
+        .flat_map(|paths| paths.signatures.iter().map(|s| s.counts()))
+        .collect();
+    Some(union.into_iter().map(<[u32]>::to_vec).collect())
 }
 
 /// Infallible wrapper over [`try_build_enumerated_model`] for specs already
@@ -381,9 +366,76 @@ fn list_language<S: AsRef<str>>(atoms: &[S], rounds: usize) -> Workload {
     seed.plug_iterate("xs", &Workload::new(step), rounds)
 }
 
-/// Flattens a nested list term into its atom names, left to right.
-fn term_atoms(term: &Term) -> Vec<String> {
-    term.atoms().into_iter().map(str::to_string).collect()
+/// Expands the grammar's productions under the bounds and canonicalizes the
+/// closed terms: the raw-candidate count, and the distinct canonical specs
+/// keyed (and so ordered) by their signatures.
+fn canonical_specs(
+    grammar: &ModelGrammar,
+    options: &EnumOptions,
+) -> (usize, BTreeMap<String, ModelSpec>) {
+    // Productions, closed by bounded plug iteration.
+    let feature_names: Vec<&str> = grammar.features.iter().map(|f| f.name()).collect();
+    let feature_lists = list_language(&feature_names, options.max_depth);
+    let abort_labels: Vec<&str> = grammar.abort_points.iter().map(|p| p.label()).collect();
+    let abort_lists = list_language(&abort_labels, options.max_depth);
+    // The trigger production: the "no trigger" atom, then one atom per
+    // alternative (a name listed twice keeps its last spec).
+    let trigger_table: BTreeMap<&str, TriggerSpec> = grammar
+        .triggers
+        .iter()
+        .map(|(name, spec)| (name.as_str(), *spec))
+        .collect();
+    let triggers: Vec<Option<(String, TriggerSpec)>> = std::iter::once(None)
+        .chain(grammar.triggers.iter().map(|(name, _)| {
+            (name != NO_TRIGGER).then(|| (name.clone(), trigger_table[name.as_str()]))
+        }))
+        .collect();
+
+    // The raw candidate space is features × trigger × aborts.  A spec reads
+    // its feature and abort lists only as sets, so crossing each list
+    // production's distinct sets gives exactly the specs the raw terms would.
+    let raw_candidates = feature_lists.len() * triggers.len() * abort_lists.len();
+    let feature_sets: BTreeSet<Vec<Feature>> = feature_lists
+        .terms()
+        .iter()
+        .map(|term| {
+            let set: BTreeSet<Feature> = term
+                .atoms()
+                .into_iter()
+                .filter_map(Feature::from_name)
+                .collect();
+            set.into_iter().collect()
+        })
+        .collect();
+    let abort_sets: BTreeSet<Vec<AbortPoint>> = abort_lists
+        .terms()
+        .iter()
+        .map(|term| {
+            let set: BTreeSet<AbortPoint> = term
+                .atoms()
+                .into_iter()
+                .filter_map(|label| AbortPoint::ALL.into_iter().find(|p| p.label() == label))
+                .collect();
+            set.into_iter().collect()
+        })
+        .collect();
+
+    // Interpretation + canonicalization: specs collapse into a
+    // signature-keyed map, so the surviving specs and their order are a pure
+    // function of the grammar's language.
+    let mut canonical: BTreeMap<String, ModelSpec> = BTreeMap::new();
+    for features in feature_sets
+        .iter()
+        .filter(|fs| fs.len() <= options.max_features)
+    {
+        for trigger in &triggers {
+            for aborts in &abort_sets {
+                let spec = ModelSpec::new(features, trigger.clone(), aborts);
+                canonical.entry(spec.signature()).or_insert(spec);
+            }
+        }
+    }
+    (raw_candidates, canonical)
 }
 
 /// Enumerates the grammar's closed terms under the given bounds and collapses
@@ -391,103 +443,62 @@ fn term_atoms(term: &Term) -> Vec<String> {
 /// pipeline).  Deterministic, and independent of the order the grammar's
 /// productions list their alternatives.
 pub fn enumerate(grammar: &ModelGrammar, options: &EnumOptions) -> ModelFamily {
-    // Productions, closed by bounded plug iteration.
-    let feature_names: Vec<&str> = grammar.features.iter().map(|f| f.name()).collect();
-    let feature_lists = list_language(&feature_names, options.max_depth);
-    let mut trigger_atoms: Vec<String> = vec![NO_TRIGGER.to_string()];
-    trigger_atoms.extend(grammar.triggers.iter().map(|(name, _)| name.clone()));
-    let triggers = Workload::from_atoms(&trigger_atoms);
-    let abort_labels: Vec<&str> = grammar.abort_points.iter().map(|p| p.label()).collect();
-    let abort_lists = list_language(&abort_labels, options.max_depth);
-
-    // The raw candidate space: features × trigger × aborts.
-    let raw = feature_lists.cross(&triggers).cross(&abort_lists);
-    let raw_candidates = raw.len();
-
-    // Interpretation + canonicalization: raw terms collapse into a
-    // signature-keyed map, so the surviving specs and their order are a pure
-    // function of the grammar's language.
-    let trigger_table: BTreeMap<&str, &TriggerSpec> = grammar
-        .triggers
-        .iter()
-        .map(|(name, spec)| (name.as_str(), spec))
-        .collect();
-    let mut canonical: BTreeMap<String, ModelSpec> = BTreeMap::new();
-    for term in raw.terms() {
-        let Term::List(fs_trigger_aborts) = term else {
-            continue;
-        };
-        let [fs_trigger, abort_term] = fs_trigger_aborts.as_slice() else {
-            continue;
-        };
-        let Term::List(pair) = fs_trigger else {
-            continue;
-        };
-        let [feature_term, trigger_term] = pair.as_slice() else {
-            continue;
-        };
-        let features: Vec<Feature> = term_atoms(feature_term)
-            .iter()
-            .filter_map(|name| Feature::from_name(name))
-            .collect();
-        let trigger = match trigger_term {
-            Term::Atom(name) if name != NO_TRIGGER => trigger_table
-                .get(name.as_str())
-                .map(|spec| (name.clone(), **spec)),
-            _ => None,
-        };
-        let aborts: Vec<AbortPoint> = term_atoms(abort_term)
-            .iter()
-            .filter_map(|label| {
-                AbortPoint::ALL
-                    .iter()
-                    .copied()
-                    .find(|p| p.label() == *label)
-            })
-            .collect();
-        let spec = ModelSpec::new(&features, trigger, &aborts);
-        if spec.features.len() > options.max_features {
-            continue;
-        }
-        canonical.entry(spec.signature()).or_insert(spec);
-    }
+    let (raw_candidates, canonical) = canonical_specs(grammar, options);
     let canonical_candidates = canonical.len();
 
-    // Member cap, then the structural pass: build each cone (path-bounded,
-    // fallible) and drop generator-multiset duplicates.
+    // Member cap, then the structural pass: compare each spec's cone
+    // structure (path-bounded, never a panic) without building the cone, and
+    // drop duplicates.  Specs with equal μDD inputs have equal structures,
+    // so each input list is decided once: a repeat is a duplicate of the
+    // first spec with those inputs, or skipped like it.
     let mut members: Vec<EnumeratedModel> = Vec::new();
     let mut skipped_path_limit = 0usize;
     let mut structural_duplicates = 0usize;
     let mut seen_structures: BTreeSet<Vec<Vec<u32>>> = BTreeSet::new();
+    let mut within_budget: BTreeMap<Vec<MuddInput>, bool> = BTreeMap::new();
     for spec in canonical.into_values().take(options.max_models) {
-        let name = format!("e{}", members.len());
-        match try_build_enumerated_model(&name, &spec, options.max_paths) {
-            Ok(cone) => {
-                let structure: Vec<Vec<u32>> = cone
-                    .signatures()
-                    .iter()
-                    .map(|s| s.counts().to_vec())
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
-                if !seen_structures.insert(structure) {
-                    structural_duplicates += 1;
-                    continue;
+        let inputs = spec_mudd_inputs(&spec);
+        let fits = match within_budget.get(&inputs) {
+            Some(&fits) => {
+                structural_duplicates += usize::from(fits);
+                fits
+            }
+            None => {
+                let structure = cone_structure(&inputs, options.max_paths);
+                let fits = structure.is_some();
+                within_budget.insert(inputs, fits);
+                if let Some(structure) = structure {
+                    if seen_structures.insert(structure) {
+                        let name = format!("e{}", members.len());
+                        members.push(EnumeratedModel { name, spec });
+                    } else {
+                        structural_duplicates += 1;
+                    }
                 }
-                members.push(EnumeratedModel { name, spec });
+                fits
             }
-            Err(_) => {
-                // The only error our own builders produce is PathExplosion;
-                // either way the candidate is skipped, never a panic.
-                skipped_path_limit += 1;
-                telemetry::add(telemetry::Metric::PathLimitModelSkips, 1);
-            }
+        };
+        if !fits {
+            skipped_path_limit += 1;
+            telemetry::add(telemetry::Metric::PathLimitModelSkips, 1);
         }
     }
 
-    // Assumption groups, in signature order, members in canonical order.
+    ModelFamily {
+        groups: group_by_assumptions(&members),
+        members,
+        raw_candidates,
+        canonical_candidates,
+        skipped_path_limit,
+        structural_duplicates,
+    }
+}
+
+/// Groups members by assumption signature: groups in signature order,
+/// members in canonical order.
+fn group_by_assumptions(members: &[EnumeratedModel]) -> Vec<FamilyGroup> {
     let mut grouped: BTreeMap<String, FamilyGroup> = BTreeMap::new();
-    for member in &members {
+    for member in members {
         let group = grouped
             .entry(member.spec.assumption_signature())
             .or_insert_with(|| FamilyGroup {
@@ -503,19 +514,249 @@ pub fn enumerate(grammar: &ModelGrammar, options: &EnumOptions) -> ModelFamily {
         group.universe = universe.into_iter().collect();
     }
 
-    ModelFamily {
-        members,
-        groups: grouped.into_values().collect(),
-        raw_candidates,
-        canonical_candidates,
-        skipped_path_limit,
-        structural_duplicates,
-    }
+    grouped.into_values().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::{
+        abort_model_inputs, abort_specs_table7, build_abort_model, build_feature_model,
+        build_trigger_model, feature_sets_table3, trigger_model_inputs,
+    };
+    use counterpoint_haswell::full_counter_space;
+    use counterpoint_mudd::MuDd;
+
+    /// The depth-2, 512-member bounds of the case-study enumeration.
+    fn depth2(max_paths: Option<usize>) -> EnumOptions {
+        EnumOptions {
+            max_depth: 2,
+            max_models: 512,
+            max_paths,
+            ..EnumOptions::default()
+        }
+    }
+
+    /// Canonicalization term by term over the raw cross product — the
+    /// reference [`canonical_specs`] must reproduce from each production's
+    /// distinct sets.
+    fn reference_canonical_specs(
+        grammar: &ModelGrammar,
+        options: &EnumOptions,
+    ) -> (usize, BTreeMap<String, ModelSpec>) {
+        let feature_names: Vec<&str> = grammar.features.iter().map(|f| f.name()).collect();
+        let mut trigger_atoms = vec![NO_TRIGGER.to_string()];
+        trigger_atoms.extend(grammar.triggers.iter().map(|(name, _)| name.clone()));
+        let abort_labels: Vec<&str> = grammar.abort_points.iter().map(|p| p.label()).collect();
+        let raw = list_language(&feature_names, options.max_depth)
+            .cross(&Workload::from_atoms(&trigger_atoms))
+            .cross(&list_language(&abort_labels, options.max_depth));
+        let table: BTreeMap<&str, &TriggerSpec> = grammar
+            .triggers
+            .iter()
+            .map(|(name, spec)| (name.as_str(), spec))
+            .collect();
+        let mut canonical = BTreeMap::new();
+        for term in raw.terms() {
+            let Term::List(parts) = term else {
+                panic!("raw terms are pairs")
+            };
+            let Term::List(pair) = &parts[0] else {
+                panic!("the first half pairs features and trigger")
+            };
+            let features: Vec<Feature> = pair[0]
+                .atoms()
+                .into_iter()
+                .filter_map(Feature::from_name)
+                .collect();
+            let trigger = match &pair[1] {
+                Term::Atom(name) if name != NO_TRIGGER => {
+                    table.get(name.as_str()).map(|spec| (name.clone(), **spec))
+                }
+                _ => None,
+            };
+            let aborts: Vec<AbortPoint> = parts[1]
+                .atoms()
+                .into_iter()
+                .filter_map(|label| AbortPoint::ALL.into_iter().find(|p| p.label() == label))
+                .collect();
+            let spec = ModelSpec::new(&features, trigger, &aborts);
+            if spec.features.len() <= options.max_features {
+                canonical.entry(spec.signature()).or_insert(spec);
+            }
+        }
+        (raw.len(), canonical)
+    }
+
+    #[test]
+    fn canonical_specs_match_interpreting_every_raw_term() {
+        let t1 = TriggerSpec {
+            speculative: false,
+            ..TriggerSpec::t0()
+        };
+        let grammars = [
+            ModelGrammar::case_study(),
+            small_grammar()
+                .with_features(vec![
+                    Feature::WalkBypass,
+                    Feature::TlbPrefetch,
+                    Feature::TlbPrefetch,
+                ])
+                .with_triggers(vec![
+                    ("t0".to_string(), TriggerSpec::t0()),
+                    (NO_TRIGGER.to_string(), TriggerSpec::t0()),
+                    ("t0".to_string(), t1),
+                ])
+                .with_abort_points(vec![AbortPoint::AfterPsc, AbortPoint::DuringWalk]),
+        ];
+        for grammar in &grammars {
+            for (max_depth, max_features) in [(0, 5), (1, 5), (2, 5), (2, 1), (3, 2)] {
+                let options = EnumOptions {
+                    max_depth,
+                    max_features,
+                    ..EnumOptions::default()
+                };
+                let (raw, specs) = canonical_specs(grammar, &options);
+                let (reference_raw, reference) = reference_canonical_specs(grammar, &options);
+                assert_eq!(raw, reference_raw, "depth {max_depth}");
+                assert_eq!(
+                    specs, reference,
+                    "depth {max_depth}, {max_features} features"
+                );
+            }
+        }
+    }
+
+    /// The structural pass by building every capped spec's cone and
+    /// deduplicating generator multisets — the reference [`enumerate`] must
+    /// reproduce without building cones.
+    fn reference_family(grammar: &ModelGrammar, options: &EnumOptions) -> ModelFamily {
+        let (raw_candidates, canonical) = canonical_specs(grammar, options);
+        let canonical_candidates = canonical.len();
+        let mut members: Vec<EnumeratedModel> = Vec::new();
+        let mut skipped_path_limit = 0;
+        let mut structural_duplicates = 0;
+        let mut seen: BTreeSet<Vec<Vec<u32>>> = BTreeSet::new();
+        for spec in canonical.into_values().take(options.max_models) {
+            let name = format!("e{}", members.len());
+            let Ok(cone) = try_build_enumerated_model(&name, &spec, options.max_paths) else {
+                skipped_path_limit += 1;
+                continue;
+            };
+            let multiset: BTreeSet<Vec<u32>> = cone
+                .signatures()
+                .iter()
+                .map(|s| s.counts().to_vec())
+                .collect();
+            if seen.insert(multiset.into_iter().collect()) {
+                members.push(EnumeratedModel { name, spec });
+            } else {
+                structural_duplicates += 1;
+            }
+        }
+        ModelFamily {
+            groups: group_by_assumptions(&members),
+            members,
+            raw_candidates,
+            canonical_candidates,
+            skipped_path_limit,
+            structural_duplicates,
+        }
+    }
+
+    #[test]
+    fn expansion_matches_building_every_cone() {
+        let grammar = ModelGrammar::case_study();
+        let unbounded = enumerate(&grammar, &depth2(None));
+        assert_eq!(
+            format!("{unbounded:?}"),
+            format!("{:?}", reference_family(&grammar, &depth2(None)))
+        );
+        assert_eq!(unbounded.len(), 153);
+        assert_eq!(unbounded.structural_duplicates, 359);
+
+        // A budget strictly between the smallest and largest per-spec path
+        // counts (a spec's count is its largest diagram's) skips some specs
+        // and keeps others.  It equals some spec's count, so the boundary is
+        // decided too: a diagram with exactly `budget` paths fits.
+        let (_, canonical) = canonical_specs(&grammar, &depth2(None));
+        let capped: Vec<Vec<MuddInput>> =
+            canonical.values().take(512).map(spec_mudd_inputs).collect();
+        let paths = |input: &MuddInput| mudd_paths(input, None).unwrap().num_paths;
+        let mut counts: Vec<usize> = capped
+            .iter()
+            .map(|inputs| inputs.iter().map(paths).max().unwrap())
+            .collect();
+        counts.sort_unstable();
+        let (least, budget, most) = (counts[0], counts[counts.len() / 2], counts[511]);
+        assert!(
+            least < budget && budget < most,
+            "{least} < {budget} < {most}"
+        );
+        // Each diagram fits the budget exactly when enumerating it under that
+        // limit succeeds.
+        let diagrams: BTreeSet<&MuddInput> = capped.iter().flatten().collect();
+        for input in diagrams {
+            assert_eq!(
+                mudd_paths(input, Some(budget)).is_ok(),
+                input
+                    .build()
+                    .with_max_paths(budget)
+                    .path_signatures()
+                    .is_ok(),
+                "{input:?}"
+            );
+        }
+        let bounded = enumerate(&grammar, &depth2(Some(budget)));
+        assert!(
+            0 < bounded.skipped_path_limit && bounded.skipped_path_limit < 512,
+            "skipped {}",
+            bounded.skipped_path_limit
+        );
+        assert_eq!(
+            format!("{bounded:?}"),
+            format!("{:?}", reference_family(&grammar, &depth2(Some(budget))))
+        );
+    }
+
+    /// `cone` (assembled from cached path signatures) equals the cone
+    /// [`ModelCone::from_mudds`] builds by enumerating freshly built μDDs
+    /// with the same inputs.
+    fn assert_assembles_like_from_mudds(cone: &ModelCone, inputs: &[MuddInput]) {
+        let mudds: Vec<MuDd> = inputs.iter().map(MuddInput::build).collect();
+        let refs: Vec<&MuDd> = mudds.iter().collect();
+        let reference = ModelCone::from_mudds(cone.name(), &refs).unwrap();
+        assert_eq!(cone.name(), reference.name());
+        assert_eq!(cone.signatures(), reference.signatures(), "{}", cone.name());
+        assert_eq!(cone.num_paths(), reference.num_paths(), "{}", cone.name());
+        assert_eq!(
+            cone.generator_cone().generators(),
+            reference.generator_cone().generators(),
+            "{}",
+            cone.name()
+        );
+    }
+
+    #[test]
+    fn assembled_cones_match_from_mudds() {
+        for (name, features) in feature_sets_table3() {
+            let cone = build_feature_model(&name, &features);
+            assert_assembles_like_from_mudds(&cone, &mudd_inputs(&features, None, &[]));
+        }
+        for (name, trigger) in trigger_specs_table5() {
+            let cone = build_trigger_model(&name, &trigger);
+            assert_assembles_like_from_mudds(&cone, &trigger_model_inputs(&trigger));
+        }
+        for (name, points) in abort_specs_table7() {
+            let cone = build_abort_model(&name, &points);
+            assert_assembles_like_from_mudds(&cone, &abort_model_inputs(&points));
+        }
+        let family = enumerate(&ModelGrammar::case_study(), &depth2(None));
+        for member in &family.members {
+            let cone = build_enumerated_model(&member.name, &member.spec);
+            assert_assembles_like_from_mudds(&cone, &spec_mudd_inputs(&member.spec));
+        }
+    }
 
     /// A small grammar (two features, one trigger, one abort point) keeps the
     /// structural pass cheap in tests.
@@ -653,7 +894,6 @@ mod tests {
 
     #[test]
     fn enumerated_specs_match_hand_written_builders() {
-        use crate::family::{build_feature_model, feature_sets_table3};
         // The spec with m4's features, no trigger, no aborts must produce the
         // same generator multiset as the hand-written m4.
         let specs = feature_sets_table3();

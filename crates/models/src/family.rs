@@ -8,80 +8,177 @@ use crate::prefetch::{standalone_prefetch_mudd, TriggerSpec};
 use counterpoint_core::{FeatureSet, ModelCone};
 use counterpoint_haswell::full_counter_space;
 use counterpoint_haswell::hec::AccessType;
-use counterpoint_mudd::{CounterSpace, MuDd, MuDdError};
-use std::collections::BTreeMap;
+use counterpoint_mudd::{CounterSignature, MuDd, MuDdError};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Assembles a cone from μDDs, optionally re-bounding every diagram's path
-/// limit first (the enumeration layer's `max_paths` metric).  All the family
-/// builders funnel through here so the fallible and infallible entry points
-/// share one code path.
+/// The inputs one model μDD is built from, over the full Haswell counter
+/// space.  The μpath cache ([`mudd_paths`]) is keyed by these: equal inputs
+/// mean an equal diagram, and a model's input list determines its cone.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum MuddInput {
+    /// A demand load or store diagram ([`demand_mudd`]).
+    Demand(DemandOptions),
+    /// The stand-alone prefetch diagram ([`standalone_prefetch_mudd`]).
+    Prefetch { early_psc: bool, pml4e: bool },
+    /// The aborted-request diagram ([`abort_request_mudd`]) of a non-empty
+    /// abort-point list, in the order given.
+    Aborts(Vec<AbortPoint>),
+}
+
+impl MuddInput {
+    /// Builds the diagram (uncached).
+    pub(crate) fn build(&self) -> MuDd {
+        let space = full_counter_space();
+        match self {
+            MuddInput::Demand(opts) => demand_mudd(&space, opts),
+            MuddInput::Prefetch { early_psc, pml4e } => {
+                standalone_prefetch_mudd(&space, *early_psc, *pml4e)
+            }
+            MuddInput::Aborts(points) => {
+                abort_request_mudd(&space, points).expect("abort inputs list an abort point")
+            }
+        }
+    }
+}
+
+/// The μDD inputs of a model: load and store demand diagrams, the stand-alone
+/// prefetch diagram when the model prefetches abstractly or on speculative
+/// μops, and the aborted-request diagram when it has abort points.  Every
+/// family builder and the grammar expansion resolve their models here, so
+/// the cones they build and the structures expansion compares cannot
+/// disagree.
+pub(crate) fn mudd_inputs(
+    features: &FeatureSet,
+    trigger: Option<&TriggerSpec>,
+    aborts: &[AbortPoint],
+) -> Vec<MuddInput> {
+    let mut load = DemandOptions::new(AccessType::Load, features);
+    let mut store = DemandOptions::new(AccessType::Store, features);
+    let mut standalone_prefetch = false;
+    if has(features, Feature::TlbPrefetch) {
+        match trigger {
+            // Abstract prefetching (the initial-search form) and speculative
+            // triggers both use the stand-alone prefetch μop.
+            None => standalone_prefetch = true,
+            Some(t) if t.speculative => standalone_prefetch = true,
+            Some(t) => {
+                let attach = if t.stlb_miss {
+                    PrefetchAttachPoint::AfterStlbMiss
+                } else if t.dtlb_miss {
+                    PrefetchAttachPoint::AfterDtlbMiss
+                } else {
+                    PrefetchAttachPoint::Always
+                };
+                if t.load {
+                    load.inline_prefetch = Some(attach);
+                }
+                if t.store {
+                    store.inline_prefetch = Some(attach);
+                }
+            }
+        }
+    }
+    let mut inputs = vec![MuddInput::Demand(load), MuddInput::Demand(store)];
+    if standalone_prefetch {
+        inputs.push(MuddInput::Prefetch {
+            early_psc: has(features, Feature::EarlyPsc),
+            pml4e: has(features, Feature::Pml4eCache),
+        });
+    }
+    if !aborts.is_empty() {
+        inputs.push(MuddInput::Aborts(aborts.to_vec()));
+    }
+    inputs
+}
+
+/// One μDD's μpaths as a model cone consumes them.
+pub(crate) struct MuddPaths {
+    /// The μpaths' counter signatures, first occurrence of each kept, in
+    /// enumeration order.
+    pub(crate) signatures: Vec<CounterSignature>,
+    /// μpaths enumerated, duplicates included.
+    pub(crate) num_paths: usize,
+}
+
+impl MuddPaths {
+    fn enumerate(mudd: &MuDd) -> Result<MuddPaths, MuDdError> {
+        let all = mudd.path_signatures()?;
+        let num_paths = all.len();
+        let mut seen = BTreeSet::new();
+        let signatures = all
+            .into_iter()
+            .filter(|sig| seen.insert(sig.counts().to_vec()))
+            .collect();
+        Ok(MuddPaths {
+            signatures,
+            num_paths,
+        })
+    }
+}
+
+/// A μDD's μpaths under `max_paths`, enumerated once per process and cached
+/// by the diagram's inputs — never by the address of a built diagram, since
+/// a freed diagram's address can be reused.  The diagram itself is dropped
+/// once its paths are taken.
+///
+/// μDDs are pure functions of their inputs, and the grammar expansion and
+/// the lattice searches ask for the same few dozen diagrams thousands of
+/// times per run.
+///
+/// # Errors
+///
+/// [`MuDdError::PathExplosion`] when the diagram has more than `max_paths`
+/// μpaths, or more than its builder's own limit (`max_paths` lowers that
+/// limit, never raises it).
+pub(crate) fn mudd_paths(
+    input: &MuddInput,
+    max_paths: Option<usize>,
+) -> Result<Arc<MuddPaths>, MuDdError> {
+    type Cache = BTreeMap<MuddInput, Result<Arc<MuddPaths>, MuDdError>>;
+    static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
+    let cache = CACHE.get_or_init(Default::default);
+    let cached = cache.lock().unwrap().get(input).cloned();
+    let paths = cached.unwrap_or_else(|| {
+        let paths = MuddPaths::enumerate(&input.build()).map(Arc::new);
+        let mut cache = cache.lock().unwrap();
+        cache.entry(input.clone()).or_insert(paths).clone()
+    })?;
+    match max_paths {
+        Some(limit) if paths.num_paths > limit => Err(MuDdError::PathExplosion { limit }),
+        _ => Ok(paths),
+    }
+}
+
+/// Assembles a model's cone from its μDDs' cached μpaths, optionally
+/// re-bounding every diagram's path limit (the enumeration layer's
+/// `max_paths` metric).  All the family builders funnel through here.
+///
+/// Equal to [`ModelCone::from_mudds`] over the same diagrams in signatures,
+/// path count and generator order: deduplicating a concatenation keeps the
+/// same first occurrences whether or not each part was deduplicated first.
+///
+/// # Errors
+///
+/// Returns [`MuDdError::PathExplosion`] for the first diagram over the limit.
 pub(crate) fn assemble_cone(
     name: &str,
-    mudds: &[Arc<MuDd>],
+    inputs: &[MuddInput],
     max_paths: Option<usize>,
 ) -> Result<ModelCone, MuDdError> {
-    match max_paths {
-        Some(limit) => {
-            let bounded: Vec<MuDd> = mudds.iter().map(|m| m.with_max_paths(limit)).collect();
-            let refs: Vec<&MuDd> = bounded.iter().collect();
-            ModelCone::from_mudds(name, &refs)
-        }
-        None => {
-            let refs: Vec<&MuDd> = mudds.iter().map(Arc::as_ref).collect();
-            ModelCone::from_mudds(name, &refs)
-        }
+    let mut signatures = Vec::new();
+    let mut num_paths = 0usize;
+    for input in inputs {
+        let paths = mudd_paths(input, max_paths)?;
+        num_paths += paths.num_paths;
+        signatures.extend_from_slice(&paths.signatures);
     }
-}
-
-/// Memoised demand μDD construction over the full Haswell counter space.
-///
-/// μDDs are immutable and `demand_mudd` is a pure function of its options, but
-/// the guided lattice search re-derives the same handful of diagram variants
-/// hundreds of times per run, and diagram construction (builder validation,
-/// node naming) dominates model-cone assembly.  The cache key captures every
-/// input `demand_mudd` sees except the counter space, which is always
-/// [`full_counter_space`] for the builders in this module (checked in debug
-/// builds).
-pub(crate) fn cached_demand_mudd(space: &CounterSpace, opts: &DemandOptions) -> Arc<MuDd> {
-    static CACHE: OnceLock<Mutex<BTreeMap<String, Arc<MuDd>>>> = OnceLock::new();
-    let mut key = format!("{:?}|{:?}", opts.access, opts.inline_prefetch);
-    for feature in &opts.features {
-        key.push('\x1f');
-        key.push_str(feature);
-    }
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(mudd) = cache.lock().unwrap().get(&key) {
-        debug_assert_eq!(mudd.counters(), space, "cache is per-counter-space");
-        return Arc::clone(mudd);
-    }
-    let mudd = Arc::new(demand_mudd(space, opts));
-    Arc::clone(cache.lock().unwrap().entry(key).or_insert(mudd))
-}
-
-/// Cache storage of [`cached_prefetch_mudd`], keyed by its two flags.
-type PrefetchMuddCache = OnceLock<Mutex<BTreeMap<(bool, bool), Arc<MuDd>>>>;
-
-/// Memoised stand-alone prefetch μDD (see [`cached_demand_mudd`]).
-pub(crate) fn cached_prefetch_mudd(
-    space: &CounterSpace,
-    early_psc: bool,
-    pml4e: bool,
-) -> Arc<MuDd> {
-    static CACHE: PrefetchMuddCache = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(mudd) = cache.lock().unwrap().get(&(early_psc, pml4e)) {
-        debug_assert_eq!(mudd.counters(), space, "cache is per-counter-space");
-        return Arc::clone(mudd);
-    }
-    let mudd = Arc::new(standalone_prefetch_mudd(space, early_psc, pml4e));
-    Arc::clone(
-        cache
-            .lock()
-            .unwrap()
-            .entry((early_psc, pml4e))
-            .or_insert(mudd),
-    )
+    Ok(ModelCone::from_signatures(
+        name,
+        &full_counter_space(),
+        signatures,
+        num_paths,
+    ))
 }
 
 /// Entry cap for the feature-model cone cache: generous for the 2⁵ subsets of
@@ -128,26 +225,7 @@ fn build_feature_model_uncached(name: &str, features: &FeatureSet) -> ModelCone 
 ///
 /// Returns the first [`MuDdError`] hit while enumerating the model's μpaths.
 pub fn try_build_feature_model(name: &str, features: &FeatureSet) -> Result<ModelCone, MuDdError> {
-    try_build_feature_model_bounded(name, features, None)
-}
-
-pub(crate) fn try_build_feature_model_bounded(
-    name: &str,
-    features: &FeatureSet,
-    max_paths: Option<usize>,
-) -> Result<ModelCone, MuDdError> {
-    let space = full_counter_space();
-    let load = cached_demand_mudd(&space, &DemandOptions::new(AccessType::Load, features));
-    let store = cached_demand_mudd(&space, &DemandOptions::new(AccessType::Store, features));
-    let mut mudds: Vec<Arc<MuDd>> = vec![load, store];
-    if has(features, Feature::TlbPrefetch) {
-        mudds.push(cached_prefetch_mudd(
-            &space,
-            has(features, Feature::EarlyPsc),
-            has(features, Feature::Pml4eCache),
-        ));
-    }
-    assemble_cone(name, &mudds, max_paths)
+    assemble_cone(name, &mudd_inputs(features, None, &[]), None)
 }
 
 /// The twelve feature sets of the initial model search (paper, Table 3).
@@ -192,42 +270,13 @@ pub fn build_trigger_model(name: &str, spec: &TriggerSpec) -> ModelCone {
 ///
 /// Returns the first [`MuDdError`] hit while enumerating the model's μpaths.
 pub fn try_build_trigger_model(name: &str, spec: &TriggerSpec) -> Result<ModelCone, MuDdError> {
-    try_build_trigger_model_bounded(name, spec, None)
+    assemble_cone(name, &trigger_model_inputs(spec), None)
 }
 
-pub(crate) fn try_build_trigger_model_bounded(
-    name: &str,
-    spec: &TriggerSpec,
-    max_paths: Option<usize>,
-) -> Result<ModelCone, MuDdError> {
-    let space = full_counter_space();
-    let features = to_feature_set(&Feature::ALL);
-    let attach_point = if spec.stlb_miss {
-        PrefetchAttachPoint::AfterStlbMiss
-    } else if spec.dtlb_miss {
-        PrefetchAttachPoint::AfterDtlbMiss
-    } else {
-        PrefetchAttachPoint::Always
-    };
-
-    let mut load_opts = DemandOptions::new(AccessType::Load, &features);
-    let mut store_opts = DemandOptions::new(AccessType::Store, &features);
-    if !spec.speculative {
-        if spec.load {
-            load_opts.inline_prefetch = Some(attach_point);
-        }
-        if spec.store {
-            store_opts.inline_prefetch = Some(attach_point);
-        }
-    }
-
-    let load = cached_demand_mudd(&space, &load_opts);
-    let store = cached_demand_mudd(&space, &store_opts);
-    let mut mudds: Vec<Arc<MuDd>> = vec![load, store];
-    if spec.speculative {
-        mudds.push(cached_prefetch_mudd(&space, true, true));
-    }
-    assemble_cone(name, &mudds, max_paths)
+/// The μDD inputs of a trigger model: the feature-complete model with the
+/// trigger's prefetch placement.
+pub(crate) fn trigger_model_inputs(spec: &TriggerSpec) -> Vec<MuddInput> {
+    mudd_inputs(&to_feature_set(&Feature::ALL), Some(spec), &[])
 }
 
 /// The eighteen trigger-condition models of Table 5.
@@ -283,29 +332,19 @@ pub fn build_abort_model(name: &str, points: &[AbortPoint]) -> ModelCone {
 ///
 /// Returns the first [`MuDdError`] hit while enumerating the model's μpaths.
 pub fn try_build_abort_model(name: &str, points: &[AbortPoint]) -> Result<ModelCone, MuDdError> {
-    try_build_abort_model_bounded(name, points, None)
+    assemble_cone(name, &abort_model_inputs(points), None)
 }
 
-pub(crate) fn try_build_abort_model_bounded(
-    name: &str,
-    points: &[AbortPoint],
-    max_paths: Option<usize>,
-) -> Result<ModelCone, MuDdError> {
-    let space = full_counter_space();
+/// The μDD inputs of an abort model: `t0`'s features without walk bypassing,
+/// plus the aborted-request diagram.
+pub(crate) fn abort_model_inputs(points: &[AbortPoint]) -> Vec<MuddInput> {
     let features = to_feature_set(&[
         Feature::TlbPrefetch,
         Feature::EarlyPsc,
         Feature::Merging,
         Feature::Pml4eCache,
     ]);
-    let load = cached_demand_mudd(&space, &DemandOptions::new(AccessType::Load, &features));
-    let store = cached_demand_mudd(&space, &DemandOptions::new(AccessType::Store, &features));
-    let prefetch = cached_prefetch_mudd(&space, true, true);
-    let mut mudds: Vec<Arc<MuDd>> = vec![load, store, prefetch];
-    if let Some(aborts) = abort_request_mudd(&space, points) {
-        mudds.push(Arc::new(aborts));
-    }
-    assemble_cone(name, &mudds, max_paths)
+    mudd_inputs(&features, None, points)
 }
 
 /// The four abort-point models of Table 7 (cumulatively enabling later abort
@@ -385,13 +424,15 @@ mod tests {
         assert!(try_build_trigger_model("t0", &TriggerSpec::t0()).is_ok());
         assert!(try_build_abort_model("a0", &[AbortPoint::DuringWalk]).is_ok());
         // A starvation-level bound turns the same model into a typed error.
-        let err = try_build_feature_model_bounded("m4", &specs[4].1, Some(1)).unwrap_err();
-        assert!(matches!(err, MuDdError::PathExplosion { limit: 1 }));
-        let err = try_build_trigger_model_bounded("t0", &TriggerSpec::t0(), Some(1)).unwrap_err();
-        assert!(matches!(err, MuDdError::PathExplosion { limit: 1 }));
-        let err =
-            try_build_abort_model_bounded("a0", &[AbortPoint::DuringWalk], Some(1)).unwrap_err();
-        assert!(matches!(err, MuDdError::PathExplosion { limit: 1 }));
+        let starved = [
+            mudd_inputs(&specs[4].1, None, &[]),
+            trigger_model_inputs(&TriggerSpec::t0()),
+            abort_model_inputs(&[AbortPoint::DuringWalk]),
+        ];
+        for inputs in &starved {
+            let err = assemble_cone("starved", inputs, Some(1)).unwrap_err();
+            assert!(matches!(err, MuDdError::PathExplosion { limit: 1 }));
+        }
     }
 
     #[test]

@@ -604,6 +604,17 @@ mod tests {
     use super::*;
     use counterpoint_core::feature_set;
     use counterpoint_mudd::{CounterSignature, CounterSpace};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The telemetry sink is process-global and `.telemetry(true)` claims it
+    /// with `Recording::try_start`, so two recording tests running at once
+    /// would leave one without a snapshot.  Every test here that records
+    /// holds this lock for its whole run.
+    static SINK_OWNER: Mutex<()> = Mutex::new(());
+
+    fn claim_sink() -> MutexGuard<'static, ()> {
+        SINK_OWNER.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// The toy feature lattice of the explore tests: base allows x only,
     /// `Fy` adds [1, 1], `Fboth` adds [0, 1].
@@ -868,6 +879,7 @@ mod tests {
             max_models: 8,
             ..EnumOptions::default()
         };
+        let _own = claim_sink();
         let report = Inquiry::new()
             .observations(vec![Observation::exact("origin", &vec![0.0; space.len()])])
             .model_grammar(grammar, options)
@@ -899,6 +911,7 @@ mod tests {
 
     #[test]
     fn telemetry_snapshot_lands_in_the_report() {
+        let _own = claim_sink();
         let report = toy_inquiry()
             .refine(toy_cone, &["Fy", "Fboth"], FeatureSet::new())
             .telemetry(true)
